@@ -14,6 +14,7 @@
 #include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "overlay/population.h"
+#include "overlay/query_engine.h"
 #include "overlay/routing.h"
 #include "telemetry/load_stats.h"
 #include "telemetry/timeseries.h"
@@ -103,20 +104,30 @@ TEST(MessageSim, Alpha1MatchesGreedyRouterExactly) {
 
 TEST(MessageSim, RegistryStepperMatchesFamilyHops) {
   // The registry's make_stepper hook must reproduce the family's route
-  // choice (candidate 0 = the greedy next hop): crescendo through the
-  // registry stepper equals the RingRouter hop-for-hop.
+  // choice (candidate 0 = the greedy next hop): every ring and XOR family
+  // driven through its registry stepper equals its registry router's
+  // per-query outcome hop-for-hop.
   const auto net = small_net(256, 3, 2002);
-  const auto links = registry::build_family(net, "crescendo", 2002);
-  const RingRouter router(net, links);
-  MessageSimulator sim(net, links,
-                       registry::family("crescendo").make_stepper(net, links));
   const Workload w = make_workload(net, 150, 11);
-  submit_all(sim, w, 1.0);
-  sim.run();
+  std::vector<Query> queries;
   for (std::size_t i = 0; i < w.from.size(); ++i) {
-    const Route expected = router.route(w.from[i], w.keys[i]);
-    EXPECT_EQ(sim.lookups()[i].hops, expected.hops()) << i;
-    EXPECT_EQ(sim.lookups()[i].ok, expected.ok) << i;
+    queries.push_back({w.from[i], w.keys[i]});
+  }
+  const QueryEngine engine(net);
+  for (const char* name :
+       {"chord", "symphony", "nondet_chord", "kademlia", "crescendo",
+        "clique_crescendo", "cacophony", "nondet_crescendo", "kandy"}) {
+    const auto& entry = registry::family(name);
+    const auto links = registry::build_family(net, name, 2002);
+    std::vector<RouteProbe> expected;
+    entry.make_router(net, links).run(engine, queries, &expected);
+    MessageSimulator sim(net, links, entry.make_stepper(net, links));
+    submit_all(sim, w, 1.0);
+    sim.run();
+    for (std::size_t i = 0; i < w.from.size(); ++i) {
+      EXPECT_EQ(sim.lookups()[i].hops, expected[i].hops) << name << " " << i;
+      EXPECT_EQ(sim.lookups()[i].ok, expected[i].ok) << name << " " << i;
+    }
   }
 }
 
