@@ -217,10 +217,8 @@ GroupRouter::GroupRouter(const OverlayNetwork& net,
     : net_(&net),
       groups_(&groups),
       links_(&links),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("GroupRouter: link table not finalized");
-  }
+      max_hops_(hop_guard(net)) {
+  require_routable(net, links, "GroupRouter");
 }
 
 namespace {
@@ -418,18 +416,8 @@ RouteProbe GroupRouter::probe(std::uint32_t from, NodeId key) const {
 
 void GroupRouter::probe_batch(std::span<const Query> queries,
                               std::span<RouteProbe> out) const {
-  if (queries.size() != out.size()) {
-    throw std::invalid_argument("probe_batch: out.size() != queries.size()");
-  }
-  const int width = probe_batch_width();
-  if (width <= 0 || !links_->has_inline_ids()) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out[i] = probe(queries[i].from, queries[i].key);
-    }
-    return;
-  }
-  detail::interleaved_probe_batch(
-      queries, out, width,
+  detail::probe_batch_with(
+      queries, out, *this, *links_,
       GroupStepper{*net_, *groups_, *links_, net_->space().mask(), max_hops_});
 }
 
@@ -455,10 +443,8 @@ ResilientGroupRouter::ResilientGroupRouter(const OverlayNetwork& net,
       groups_(&groups),
       links_(&links),
       retry_budget_(retry_budget),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientGroupRouter: links not finalized");
-  }
+      max_hops_(hop_guard(net)) {
+  require_routable(net, links, "ResilientGroupRouter");
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientGroupRouter: retry budget < 1");
   }

@@ -207,10 +207,8 @@ CanRouter::CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
     : net_(&net),
       tree_(&tree),
       links_(&links),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("CanRouter: link table not finalized");
-  }
+      max_hops_(hop_guard(net)) {
+  require_routable(net, links, "CanRouter");
 }
 
 Route CanRouter::route(std::uint32_t from, NodeId key) const {
@@ -280,10 +278,8 @@ ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
       tree_(&tree),
       links_(&links),
       retry_budget_(retry_budget),
-      max_hops_(4 * net.space().bits() + 16) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("ResilientCanRouter: links not finalized");
-  }
+      max_hops_(hop_guard(net)) {
+  require_routable(net, links, "ResilientCanRouter");
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientCanRouter: retry budget < 1");
   }

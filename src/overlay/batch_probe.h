@@ -1,5 +1,5 @@
 // Interleaved batch probe driver: the memory-level-parallelism engine
-// behind RingRouter/XorRouter/GroupRouter::probe_batch.
+// behind every router's probe_batch (RingRouter, XorRouter, GroupRouter).
 //
 // Greedy DHT routing is a chain of dependent random accesses — each hop's
 // CSR row address is known only after the previous row is scanned — so a
@@ -11,7 +11,7 @@
 //                  of the previous round) and issues prefetches for the
 //                  row payload (inline NodeIds + target indices).
 //   advance pass — every lane scans its now-arriving row, picks the same
-//                  winner the scalar core would, and prefetches the next
+//                  winner the scalar walk would, and prefetches the next
 //                  node's row bounds.
 //
 // This is classic group prefetching (a static sibling of AMAC): by the
@@ -25,8 +25,9 @@
 // probe(queries[i]) at every width — the equivalence contract
 // tests/batch_probe_test.cc pins for all families.
 //
-// Internal header: included by routing.cc and canon/proximity.cc only.
-// The Stepper supplies the metric-specific pieces:
+// Internal header. The Stepper supplies the metric-specific pieces — the
+// ring and XOR families share detail::GreedyLane (overlay/greedy_kernel.h),
+// the proximity families have GroupStepper (canon/proximity.cc):
 //
 //   struct Stepper {
 //     struct Lane { std::size_t query_index; ... };
@@ -41,10 +42,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <span>
+#include <stdexcept>
 
-#include "common/ids.h"
+#include "overlay/link_table.h"
 #include "overlay/routing.h"
 
 namespace canon::detail {
@@ -91,48 +92,24 @@ void interleaved_probe_batch(std::span<const Query> queries,
   }
 }
 
-/// Index of the scalar ring winner in `ids[0..count)`, or kNoScanWinner.
-/// Branch-light restatement of the ring_core scan: a neighbor covering
-/// `covered` clockwise distance is valid iff 0 < covered <= remaining;
-/// overshooters are masked to 0 and a strict running max keeps the
-/// first-best index — exactly the scalar loop's `covered <= remaining &&
-/// covered > best_covered` (best_covered starts at 0, so covered == 0
-/// never wins there either).
-inline constexpr std::size_t kNoScanWinner = static_cast<std::size_t>(-1);
-
-inline std::size_t ring_scan_argbest(const NodeId* ids, std::size_t count,
-                                     NodeId cur_id, std::uint64_t mask,
-                                     std::uint64_t remaining) {
-  std::size_t best_j = kNoScanWinner;
-  std::uint64_t best_covered = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint64_t covered = (ids[j] - cur_id) & mask;
-    const std::uint64_t masked = covered <= remaining ? covered : 0;
-    if (masked > best_covered) {
-      best_covered = masked;
-      best_j = j;
-    }
+/// The probe_batch shell every router shares: the scalar probe loop when
+/// batching is off or the table has no inline ids (the lanes scan
+/// target_ids_), else the interleaved driver over `st`'s lanes.
+template <typename Router, typename Stepper>
+void probe_batch_with(std::span<const Query> queries,
+                      std::span<RouteProbe> out, const Router& router,
+                      const LinkTable& links, const Stepper& st) {
+  if (queries.size() != out.size()) {
+    throw std::invalid_argument("probe_batch: out.size() != queries.size()");
   }
-  return best_j;
-}
-
-/// Index of the scalar XOR winner in `ids[0..count)`, or kNoScanWinner:
-/// running argmin of xor-distance seeded with the current node's own
-/// distance, strict `<` keeping the first-best index — the xor_core loop
-/// verbatim.
-inline std::size_t xor_scan_argbest(const NodeId* ids, std::size_t count,
-                                    NodeId key, std::uint64_t mask,
-                                    std::uint64_t remaining) {
-  std::size_t best_j = kNoScanWinner;
-  std::uint64_t best_d = remaining;
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint64_t d = (ids[j] ^ key) & mask;
-    if (d < best_d) {
-      best_d = d;
-      best_j = j;
+  const int width = probe_batch_width();
+  if (width <= 0 || !links.has_inline_ids()) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      out[i] = router.probe(queries[i].from, queries[i].key);
     }
+    return;
   }
-  return best_j;
+  interleaved_probe_batch(queries, out, width, st);
 }
 
 }  // namespace canon::detail

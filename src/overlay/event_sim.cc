@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "overlay/routing.h"
 #include "telemetry/journal.h"
 #include "telemetry/load_stats.h"
 
@@ -23,9 +24,7 @@ EventSimulator::EventSimulator(const OverlayNetwork& net,
       messages_counter_(telemetry::maybe_counter("event_sim.messages")),
       completed_counter_(telemetry::maybe_counter("event_sim.completed")),
       queue_hist_(telemetry::maybe_histogram("event_sim.queue_ms")) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("EventSimulator: links not finalized");
-  }
+  require_routable(net, links, "EventSimulator");
 }
 
 void EventSimulator::set_stepper(Stepper stepper) {
@@ -174,7 +173,7 @@ void EventSimulator::complete_failed(int lookup, double at_ms,
 }
 
 void EventSimulator::run() {
-  const int hop_guard = 4 * net_->space().bits() + 16;
+  const int max_hops = hop_guard(*net_);
   if (timeseries_) {
     timeseries_->live_nodes(now_, static_cast<double>(live_nodes()));
   }
@@ -210,9 +209,9 @@ void EventSimulator::run() {
         ev.node, stats.key,
         step_state_[static_cast<std::size_t>(ev.lookup)],
         std::span<NodeIndex>(&next, 1));
-    if (step.done || step.count == 0 || stats.hops >= hop_guard) {
+    if (step.done || step.count == 0 || stats.hops >= max_hops) {
       stats.completed_ms = done;
-      stats.ok = (stats.hops < hop_guard) && step.done && step.ok;
+      stats.ok = (stats.hops < max_hops) && step.done && step.ok;
       if (completed_counter_) completed_counter_->inc();
       if (sink_ && traced_[static_cast<std::size_t>(ev.lookup)]) {
         sink_->end_lookup(trace_ids_[static_cast<std::size_t>(ev.lookup)],

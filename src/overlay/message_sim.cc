@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "overlay/routing.h"
 #include "telemetry/journal.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
@@ -19,7 +20,7 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
       stepper_(stepper ? std::move(stepper) : make_ring_stepper(net, links)),
       latency_(std::move(latency)),
       config_(config),
-      hop_guard_(4 * net.space().bits() + 16),
+      hop_guard_(hop_guard(net)),
       load_(net.size(), 0),
       busy_until_(net.size(), 0),
       max_depth_(net.size(), 0),
@@ -28,9 +29,7 @@ MessageSimulator::MessageSimulator(const OverlayNetwork& net,
       timeouts_counter_(telemetry::maybe_counter("message_sim.timeouts")),
       retries_counter_(telemetry::maybe_counter("message_sim.retries")),
       queue_hist_(telemetry::maybe_histogram("message_sim.queue_ms")) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("MessageSimulator: links not finalized");
-  }
+  require_routable(net, links, "MessageSimulator");
   if (config_.candidates < 1 || config_.candidates > kMaxStepCandidates) {
     throw std::invalid_argument(
         "MessageSimulator: candidates must be in [1, kMaxStepCandidates]");
@@ -334,10 +333,10 @@ void MessageSimulator::on_timeout(std::int32_t probe_id, std::int32_t attempt,
     return;
   }
   probe.failed = true;
-  if (lk.launched < lk.cand_count) {
-    launch_candidate(probe.lookup, lk.launched, now);
-  }
-  check_round(probe.lookup, now);
+  // launch_candidate may grow probes_ and leave `probe` dangling.
+  const std::int32_t lookup = probe.lookup;
+  if (lk.launched < lk.cand_count) launch_candidate(lookup, lk.launched, now);
+  check_round(lookup, now);
 }
 
 void MessageSimulator::check_round(std::int32_t lookup, double now) {

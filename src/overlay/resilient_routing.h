@@ -12,13 +12,19 @@
 // `retry_budget` (alpha) candidates retried per hop when forwarding
 // attempts are dropped.
 //
+// Both are the plain routers' greedy kernel (overlay/greedy_kernel.h) run
+// with its fault policy: the same rank and first-best rule, with dead and
+// banned candidates vetoed, dropped forwards retried on the runner-up, and
+// a hop counted as a fallback when its rank is worse than the row's best
+// including dead nodes (or when it comes from the leaf set). With an empty
+// FailureSet and inactive drops they run the fault-free kernel itself, so
+// they take hop-for-hop the plain RingRouter/XorRouter path.
+//
 // Both routers follow the hot-path contract of overlay/routing.h:
 // route_into/probe touch no telemetry and no mutable router state, take
 // every per-query input (FailureSet, DropRoller, Scratch) by argument, and
 // are therefore safe to run concurrently on one const router — the
-// QueryEngine's resilient batch mode relies on that. With an empty
-// FailureSet and inactive drops they take hop-for-hop the same path as the
-// plain RingRouter/XorRouter on a healthy structure.
+// QueryEngine's resilient batch mode relies on that.
 #ifndef CANON_OVERLAY_RESILIENT_ROUTING_H
 #define CANON_OVERLAY_RESILIENT_ROUTING_H
 
@@ -74,11 +80,6 @@ class ResilientRingRouter {
                        std::vector<std::uint32_t>& out) const;
 
  private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   const OverlayNetwork* net_;
   const LinkTable* links_;
   int leaf_set_;
@@ -111,11 +112,6 @@ class ResilientXorRouter {
   std::uint32_t live_closest(NodeId key, const FailureSet& dead) const;
 
  private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   const OverlayNetwork* net_;
   const LinkTable* links_;
   int retry_budget_;

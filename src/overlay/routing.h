@@ -7,7 +7,12 @@
 // * RingRouter: greedy clockwise, never overshooting the key. Terminates at
 //   the key's responsible node (its closest predecessor). Also implements
 //   Symphony's 1-step lookahead variant (Section 3.1).
-// * XorRouter: greedy XOR-distance reduction (Kademlia/CAN families).
+// * XorRouter: greedy XOR-distance reduction (Kademlia/Kandy families).
+//
+// Both are thin shells over the one greedy kernel (overlay/greedy_kernel.h)
+// that also drives the resilient routers, the interleaved batch probe and
+// the simulators' steppers, so every path of a family picks its next hop
+// by the same rank and the same first-best tie rule.
 #ifndef CANON_OVERLAY_ROUTING_H
 #define CANON_OVERLAY_ROUTING_H
 
@@ -53,6 +58,19 @@ struct Query {
 
   friend bool operator==(const Query&, const Query&) = default;
 };
+
+/// Hop budget of every greedy router: routes in a correct structure
+/// finish in O(log n) hops, far below 4·bits + 16; exceeding it means a
+/// broken link table.
+inline int hop_guard(const OverlayNetwork& net) {
+  return 4 * net.space().bits() + 16;
+}
+
+/// Throws std::invalid_argument, prefixed by `who`, unless `links` is a
+/// finalized table over exactly `net`'s nodes — the precondition of every
+/// router and simulator that indexes the table by `net`'s node indices.
+void require_routable(const OverlayNetwork& net, const LinkTable& links,
+                      const char* who);
 
 /// Hard cap on the interleaved batch window: lane state must stay small
 /// enough to live in L1 while W outstanding CSR rows stream in.

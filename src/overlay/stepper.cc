@@ -1,50 +1,40 @@
 #include "overlay/stepper.h"
 
+#include "overlay/greedy_kernel.h"
+
 namespace canon {
 
-Stepper make_ring_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  const OverlayNetwork* n = &net;
-  const LinkTable* l = &links;
-  return [n, l](NodeIndex at, NodeId key, std::uint64_t&,
-                std::span<NodeIndex> out) -> StepResult {
-    const IdSpace& space = n->space();
-    const NodeId cur_id = n->id(at);
-    const std::uint64_t remaining = space.ring_distance(cur_id, key);
-    // Rank progressing neighbors by clockwise distance covered, largest
-    // first: metric = remaining - covered keeps the ascending TopK order
-    // and — with ties preserving insertion order — makes candidate 0 the
-    // first-best winner ring_core / ring_scan_argbest picks.
+namespace {
+
+/// Ranks a node's progressing neighbors by the greedy kernel's rank, so
+/// candidate 0 is the first-best hop argmin_rank picks (TopK keeps
+/// insertion order on ties) and the rest are the same scan's runners-up.
+template <typename Metric>
+Stepper make_greedy_stepper(const OverlayNetwork& net,
+                            const LinkTable& links) {
+  // Two pointers keep the closure inside std::function's local storage.
+  return [n = &net, l = &links](NodeIndex at, NodeId key, std::uint64_t&,
+                                std::span<NodeIndex> out) -> StepResult {
+    const Metric metric(*n);
+    const std::uint64_t remaining = metric.rank(n->id(at), key);
     detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      const std::uint64_t covered = space.ring_distance(cur_id, n->id(nb));
-      if (covered == 0 || covered > remaining) continue;
-      top.push(remaining - covered, nb);
+    for (const NodeIndex nb : l->neighbors(at)) {
+      const std::uint64_t r = metric.rank(n->id(nb), key);
+      if (r < remaining) top.push(r, nb);
     }
-    if (top.count == 0) {
-      return {0, true, at == n->responsible(key)};
-    }
+    if (top.count == 0) return {0, true, at == metric.terminal(key)};
     return {top.emit(out), false, false};
   };
 }
 
+}  // namespace
+
+Stepper make_ring_stepper(const OverlayNetwork& net, const LinkTable& links) {
+  return make_greedy_stepper<detail::RingMetric>(net, links);
+}
+
 Stepper make_xor_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  const OverlayNetwork* n = &net;
-  const LinkTable* l = &links;
-  return [n, l](NodeIndex at, NodeId key, std::uint64_t&,
-                std::span<NodeIndex> out) -> StepResult {
-    const IdSpace& space = n->space();
-    const std::uint64_t remaining = space.xor_distance(n->id(at), key);
-    detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      const std::uint64_t d = space.xor_distance(n->id(nb), key);
-      if (d >= remaining) continue;
-      top.push(d, nb);
-    }
-    if (top.count == 0) {
-      return {0, true, at == n->xor_closest(key)};
-    }
-    return {top.emit(out), false, false};
-  };
+  return make_greedy_stepper<detail::XorMetric>(net, links);
 }
 
 }  // namespace canon

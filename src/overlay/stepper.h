@@ -1,7 +1,7 @@
 // Resumable one-hop routing steppers.
 //
-// The greedy cores in overlay/routing.h (and the CAN/Can-Can/group cores
-// in their own layers) walk a whole route in one call. The discrete-event
+// The routers in overlay/routing.h (and the CAN/Can-Can/group routers in
+// their own layers) walk a whole route in one call. The discrete-event
 // simulators need the same decision *one hop at a time*, interleaved
 // across thousands of in-flight lookups: given the node a lookup currently
 // sits at, rank the next-hop candidates best-first and say whether the
@@ -30,8 +30,10 @@
 //   one thread per lookup interleaving — they touch no mutable state
 //   beyond the caller's `state` word.
 //
-// Ring/XOR steppers (the seven ring families and the two XOR families)
-// live here in canon_overlay; the CAN/Can-Can/group steppers own heavier
+// make_ring_stepper and make_xor_stepper (the seven ring families and the
+// two XOR families) rank candidates by the greedy kernel's rank
+// (overlay/greedy_kernel.h) — the same rank and tie rule as every other
+// path of those families. The CAN/Can-Can/group steppers own heavier
 // auxiliary structures and are built via the family registry's
 // make_stepper hook (overlay/family_registry.h).
 #ifndef CANON_OVERLAY_STEPPER_H
@@ -80,7 +82,7 @@ namespace detail {
 
 /// Small fixed-capacity best-K ranking: keeps the K smallest keys seen,
 /// stable on ties (first inserted stays first), so candidate 0 always
-/// matches the strict-inequality running-argbest of the scalar cores.
+/// matches the strict-inequality running argmin of the routers.
 struct TopK {
   std::uint64_t metric[kMaxStepCandidates];
   NodeIndex node[kMaxStepCandidates];

@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 
 #include "canon/crescendo.h"
 #include "canon/proximity.h"
 #include "common/rng.h"
 #include "dht/can.h"
 #include "dht/chord.h"
+#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/metrics.h"
 #include "overlay/population.h"
+#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 #include "storage/hierarchical_store.h"
 
@@ -34,6 +39,44 @@ TEST(EdgeCases, SixtyFourBitIdSpace) {
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.terminal(), net.responsible(key));
+  }
+}
+
+TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
+  // A table built for a smaller network would be indexed past its CSR
+  // offsets by the larger network's node indices; an unfinalized one has
+  // no CSR at all. Every router and simulator must refuse both up front.
+  Rng rng(1102);
+  PopulationSpec spec;
+  spec.node_count = 64;
+  const auto small = make_population(spec, rng);
+  spec.node_count = 512;
+  const auto net = make_population(spec, rng);
+  const LinkTable foreign = build_crescendo(small);
+  const LinkTable unfinalized(net.size());
+  const ZoneTree tree(net, net.ring().members());
+  const GroupedOverlay groups(net, 8);
+  using Make = std::function<void(const LinkTable&)>;
+  const std::vector<std::pair<const char*, Make>> constructors = {
+      {"RingRouter", [&](const LinkTable& t) { RingRouter(net, t); }},
+      {"XorRouter", [&](const LinkTable& t) { XorRouter(net, t); }},
+      {"ResilientRingRouter",
+       [&](const LinkTable& t) { ResilientRingRouter(net, t); }},
+      {"ResilientXorRouter",
+       [&](const LinkTable& t) { ResilientXorRouter(net, t); }},
+      {"GroupRouter", [&](const LinkTable& t) { GroupRouter(net, groups, t); }},
+      {"ResilientGroupRouter",
+       [&](const LinkTable& t) { ResilientGroupRouter(net, groups, t); }},
+      {"CanRouter", [&](const LinkTable& t) { CanRouter(net, tree, t); }},
+      {"ResilientCanRouter",
+       [&](const LinkTable& t) { ResilientCanRouter(net, tree, t); }},
+      {"MessageSimulator",
+       [&](const LinkTable& t) { MessageSimulator(net, t); }},
+      {"EventSimulator", [&](const LinkTable& t) { EventSimulator(net, t); }},
+  };
+  for (const auto& [name, make] : constructors) {
+    EXPECT_THROW(make(foreign), std::invalid_argument) << name;
+    EXPECT_THROW(make(unfinalized), std::invalid_argument) << name;
   }
 }
 
