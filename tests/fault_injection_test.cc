@@ -10,10 +10,11 @@
 //      sequence numbers, and the engine journals before routing.
 //   5. Drop-retry: transient drops cost retries, not correctness, within
 //      the per-hop retry budget.
-//   6. Golden digests: the exact faulty outcomes and α=4 stepper rankings
-//      of the nine ring/XOR families are pinned, so a rewrite of the
-//      greedy kernels cannot silently change a terminal, a hop count, a
-//      retry tally or a runner-up's rank.
+//   6. Golden digests: the exact healthy and faulty outcomes and α=4
+//      stepper rankings of the nine ring/XOR families and the two CAN
+//      families are pinned, so a rewrite of the greedy kernels or the zone
+//      index cannot silently change a terminal, a hop count, a retry tally
+//      or a runner-up's rank.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -230,72 +231,94 @@ struct Digest {
 
 struct GoldenDigests {
   const char* family;
+  const char* healthy;  ///< per-query (terminal, hops, ok) of a plain batch
   const char* faulty;   ///< per-query (terminal, hops, ok) + retry tallies
   const char* stepper;  ///< α=4 candidate lists of 200 (node, key) pairs
 };
 
-TEST(FaultInjection, GoldenDigestsOfRingAndXorFamilies) {
-  constexpr std::array<GoldenDigests, 9> kGolden = {{
-      {"chord", "0808d811ba4acb1d",
-       "013229e5a945e496"},
-      {"symphony", "5c9c15ccdf57f8ca",
-       "34492274f0dc449d"},
-      {"nondet_chord", "45b42b30e68d6c40",
-       "861e39e8734b5005"},
-      {"kademlia", "2357d9fd5ad87479",
-       "2747075b3bdcfb75"},
-      {"crescendo", "4c2d4bb57117025f",
-       "96a99dc6fa188c0a"},
-      {"clique_crescendo", "12e98725b5504a78",
-       "3a56a729803d5be9"},
-      {"cacophony", "d57de09132d1fa35",
-       "7ff0bee9f5b878e4"},
-      {"nondet_crescendo", "89fe897999fb76f7",
-       "8ef96d41d6ce0fa4"},
-      {"kandy", "b3a3c0520a498a8f",
-       "eec14566b9e0a42a"},
-  }};
+/// Digests `family`'s healthy batch, faulty batch (10% crashes, 1% drops)
+/// and α=4 stepper rankings at 512 nodes and compares them to `golden`.
+void expect_golden(const GoldenDigests& golden) {
   const auto net = make_net(512);
   const QueryEngine engine(net);
   const auto queries = uniform_workload(net, 600, Rng(kSeed).fork(11));
   FaultPlan plan = FaultPlan::fail_fraction(net.size(), 0.10, kSeed);
   plan.set_drop(0.01);
-  for (const auto& golden : kGolden) {
-    const auto& entry = registry::family(golden.family);
-    const LinkTable links = registry::build_family(net, entry.name, kSeed);
+  const auto& entry = registry::family(golden.family);
+  const LinkTable links = registry::build_family(net, entry.name, kSeed);
+  const registry::FamilyRouter router = entry.make_router(net, links);
 
-    Digest faulty;
-    std::vector<RouteProbe> probes;
-    const ResilientStats st =
-        entry.make_router(net, links)
-            .run_resilient(engine, queries, plan, &probes);
-    for (const RouteProbe& p : probes) {
-      faulty.add(p.terminal);
-      faulty.add(static_cast<std::uint64_t>(p.hops));
-      faulty.add(p.ok);
+  const auto add_probes = [](Digest& d, const std::vector<RouteProbe>& ps) {
+    for (const RouteProbe& p : ps) {
+      d.add(p.terminal);
+      d.add(static_cast<std::uint64_t>(p.hops));
+      d.add(p.ok);
     }
-    faulty.add(st.retries);
-    faulty.add(st.fallback_hops);
-    EXPECT_GT(st.retries, 0u) << golden.family;
-    EXPECT_GT(st.fallback_hops, 0u) << golden.family;
-    EXPECT_EQ(faulty.hex(), golden.faulty) << golden.family;
+  };
 
-    Digest ranked;
-    const Stepper step = entry.make_stepper(net, links);
-    Rng rng(kSeed + 1);
-    std::array<NodeIndex, 4> cand{};
-    for (int i = 0; i < 200; ++i) {
-      const auto at = static_cast<NodeIndex>(rng.uniform(net.size()));
-      const NodeId key = net.space().wrap(rng());
-      std::uint64_t state = 0;
-      const StepResult r = step(at, key, state, cand);
-      ranked.add(static_cast<std::uint64_t>(r.count));
-      ranked.add(r.done);
-      ranked.add(r.ok);
-      for (int c = 0; c < r.count; ++c) ranked.add(cand[c]);
-    }
-    EXPECT_EQ(ranked.hex(), golden.stepper) << golden.family;
+  Digest healthy;
+  std::vector<RouteProbe> probes;
+  router.run(engine, queries, &probes);
+  add_probes(healthy, probes);
+  EXPECT_EQ(healthy.hex(), golden.healthy) << golden.family;
+
+  Digest faulty;
+  const ResilientStats st = router.run_resilient(engine, queries, plan, &probes);
+  add_probes(faulty, probes);
+  faulty.add(st.retries);
+  faulty.add(st.fallback_hops);
+  EXPECT_GT(st.retries, 0u) << golden.family;
+  EXPECT_GT(st.fallback_hops, 0u) << golden.family;
+  EXPECT_EQ(faulty.hex(), golden.faulty) << golden.family;
+
+  Digest ranked;
+  const Stepper step = entry.make_stepper(net, links);
+  Rng rng(kSeed + 1);
+  std::array<NodeIndex, 4> cand{};
+  for (int i = 0; i < 200; ++i) {
+    const auto at = static_cast<NodeIndex>(rng.uniform(net.size()));
+    const NodeId key = net.space().wrap(rng());
+    std::uint64_t state = 0;
+    const StepResult r = step(at, key, state, cand);
+    ranked.add(static_cast<std::uint64_t>(r.count));
+    ranked.add(r.done);
+    ranked.add(r.ok);
+    for (int c = 0; c < r.count; ++c) ranked.add(cand[c]);
   }
+  EXPECT_EQ(ranked.hex(), golden.stepper) << golden.family;
+}
+
+TEST(FaultInjection, GoldenDigestsOfRingAndXorFamilies) {
+  constexpr std::array<GoldenDigests, 9> kGolden = {{
+      {"chord", "60e4b907b4c888c9",
+       "0808d811ba4acb1d", "013229e5a945e496"},
+      {"symphony", "9a3a2f27199146fa",
+       "5c9c15ccdf57f8ca", "34492274f0dc449d"},
+      {"nondet_chord", "4d09d1710abe571a",
+       "45b42b30e68d6c40", "861e39e8734b5005"},
+      {"kademlia", "c3cf605e27cc88d1",
+       "2357d9fd5ad87479", "2747075b3bdcfb75"},
+      {"crescendo", "cd4a723174841908",
+       "4c2d4bb57117025f", "96a99dc6fa188c0a"},
+      {"clique_crescendo", "c6b20084cc2a68f1",
+       "12e98725b5504a78", "3a56a729803d5be9"},
+      {"cacophony", "9eeb96a24771be2a",
+       "d57de09132d1fa35", "7ff0bee9f5b878e4"},
+      {"nondet_crescendo", "d1ec3dc67926686d",
+       "89fe897999fb76f7", "8ef96d41d6ce0fa4"},
+      {"kandy", "0182bcc529162cd9",
+       "b3a3c0520a498a8f", "eec14566b9e0a42a"},
+  }};
+  for (const auto& golden : kGolden) expect_golden(golden);
+}
+
+TEST(FaultInjection, GoldenDigestsOfCanFamilies) {
+  constexpr std::array<GoldenDigests, 2> kGolden = {{
+      {"can", "41ef26b9254b654d", "30f17b4e1cda19c5", "1a598e2768dcf90a"},
+      {"cancan", "a2ff6b2abfc42f5e", "f7caab585d49f64a",
+       "8d78566f8361b3b3"},
+  }};
+  for (const auto& golden : kGolden) expect_golden(golden);
 }
 
 }  // namespace
