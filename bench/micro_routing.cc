@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): routing throughput for the greedy
-// ring router (Chord/Crescendo), lookahead and XOR routing, plus the batch
-// QueryEngine.
+// ring router (Chord/Crescendo), lookahead and XOR routing, the CAN and
+// Can-Can probe paths, plus the batch QueryEngine.
 //
 // All (from, key) workloads are pre-generated outside the timed loops
 // (cycled through a power-of-two array), so BM_Route* measures routing
@@ -20,8 +20,10 @@
 #include "bench/bench_util.h"
 #include "bench/micro_util.h"
 
+#include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
+#include "dht/can.h"
 #include "dht/chord.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
@@ -112,6 +114,40 @@ void BM_RouteKandy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RouteKandy)->Arg(8192);
+
+/// CanRouter::probe over the flat zone index: per scanned neighbor one
+/// contiguous zone-match scan, the key's owner found once per query.
+void BM_ProbeCan(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 4);
+  const CanNetwork can = build_can(net);
+  const CanRouter router(net, can.tree, can.links);
+  const auto queries = uniform_workload(net, kWorkload, Rng(11));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Query& q = queries[i++ & kMask];
+    benchmark::DoNotOptimize(router.probe(q.from, q.key));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeCan)->Arg(8192);
+
+/// CanCanRouter::probe: the staged walk over the per-(node, level) zone
+/// index, with the stack-resident visited guard.
+void BM_ProbeCanCan(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 4);
+  const CanCanNetwork cancan(net);
+  const CanCanRouter router(cancan);
+  const auto queries = uniform_workload(net, kWorkload, Rng(11));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Query& q = queries[i++ & kMask];
+    benchmark::DoNotOptimize(router.probe(q.from, q.key));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeCanCan)->Arg(8192);
 
 /// Shared population+links fixture for the probe-kernel benchmarks,
 /// streamed-built (byte-identical to build_crescendo) so the 2^20 entry

@@ -1,36 +1,62 @@
 #include "canon/cancan.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <array>
+#include <stdexcept>
 
 #include "common/parallel.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
+#include "overlay/greedy_kernel.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
 
-CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
-    : net_(&net), links_(net.size()) {
-  telemetry::ScopedTimer timer("build.cancan_ms");
+CanCanZones::CanCanZones(const OverlayNetwork& net)
+    : net_(&net),
+      stride_(static_cast<std::size_t>(net.domains().max_depth()) + 1),
+      levels_(net.size() * stride_) {
   const DomainTree& dom = net.domains();
   trees_.resize(static_cast<std::size_t>(dom.domain_count()));
-  // Per-domain zone tries are independent; one shard per few domains.
+  // Per-domain zone tries are independent, and every (node, level) entry
+  // belongs to exactly one domain; one shard per few domains.
   parallel_for(static_cast<std::size_t>(dom.domain_count()), 4,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t d = begin; d < end; ++d) {
-                   const auto& members =
-                       dom.domain(static_cast<int>(d)).members;
+                   const Domain& domain = dom.domain(static_cast<int>(d));
+                   const auto& members = domain.members;
                    trees_[d] = std::make_unique<ZoneTree>(
                        net, std::span<const std::uint32_t>{members.data(),
                                                            members.size()});
+                   for (std::size_t slot = 0; slot < members.size(); ++slot) {
+                     levels_[members[slot] * stride_ +
+                             static_cast<std::size_t>(domain.depth)] = {
+                         static_cast<std::int32_t>(d),
+                         static_cast<std::uint32_t>(slot)};
+                   }
                  }
                });
+}
 
+std::uint32_t CanCanZones::responsible(NodeId key) const {
+  return tree(net_->domains().root()).owner_of(key);
+}
+
+CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
+    : CanCanNetwork(net, telemetry::ScopedTimer("build.cancan_ms")) {}
+
+CanCanNetwork::CanCanNetwork(const OverlayNetwork& net,
+                             const telemetry::ScopedTimer&)
+    : zones_(net), links_(net.size()) {
+  const DomainTree& dom = net.domains();
   const auto add_node_links = [&](std::uint32_t m,
                                   std::vector<std::uint32_t>& face) {
     const auto& chain = dom.domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
+    const auto primary_len = [&](int level) {
+      const int d = chain[static_cast<std::size_t>(level)];
+      return tree(d).zones_at(zones_.slot_in(m, d, level))[0].len;
+    };
     // Leaf domain: every CAN edge.
     for (const std::uint32_t v :
          tree(chain[static_cast<std::size_t>(leaf)]).neighbors(m)) {
@@ -47,10 +73,9 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
     for (int level = leaf - 1; level >= 0; --level) {
       const RingView child_ring =
           net.domain_ring(chain[static_cast<std::size_t>(level + 1)]);
-      const int lower_len =
-          tree(chain[static_cast<std::size_t>(level + 1)]).zone(m).len;
+      const int lower_len = primary_len(level + 1);
       const ZoneTree& t = tree(chain[static_cast<std::size_t>(level)]);
-      const int len = t.zone(m).len;
+      const int len = primary_len(level);
       for (int pos = 0; pos < len; ++pos) {
         if (pos < lower_len) {
           // Keep only if the child domain is empty across this face.
@@ -74,135 +99,270 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
   links_.finalize(net.ids());
 }
 
-std::uint32_t CanCanNetwork::responsible(NodeId key) const {
-  return tree(net_->domains().root()).owner_of(key);
-}
-
-CanCanRouter::CanCanRouter(const CanCanNetwork& network)
-    : network_(&network),
-      max_hops_(8 * network.net().space().bits() + 16) {}
-
-Route CanCanRouter::route(std::uint32_t from, NodeId key) const {
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  const DomainTree& dom = net.domains();
-  Route r;
-  r.path.push_back(from);
-  std::uint32_t current = from;
-  // Stage = the domain whose partition the message is currently finishing,
-  // starting at the source's leaf domain and lifting toward the root.
-  int stage_domain = dom.domain_chain(from).back();
-  // The XOR fallback can decrease the prefix match, so guard against
-  // revisiting a node (which would mean a routing cycle).
-  std::unordered_set<std::uint32_t> visited = {from};
-
-  for (int step = 0; step < max_hops_; ++step) {
-    const ZoneTree& t = network_->tree(stage_domain);
-    if (t.owner_of(key) == current) {
-      if (dom.domain(stage_domain).parent < 0) {
-        r.ok = true;  // finished the root partition
-        return r;
-      }
-      stage_domain = dom.domain(stage_domain).parent;
-      continue;  // lift the stage without consuming a hop
-    }
-    const int cur_match = t.match_len(current, key);
-    std::uint32_t best = current;
-    int best_match = cur_match;
-    for (const std::uint32_t nb : network_->links().neighbors(current)) {
-      if (!t.contains(nb) || visited.contains(nb)) continue;
-      const int m = t.match_len(nb, key);
-      if (m > best_match) {
-        best_match = m;
-        best = nb;
-      }
-    }
-    if (best == current) {
-      // The key's stage zone may be a short empty-sibling block: accept a
-      // neighbor that owns the key outright.
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (t.contains(nb) && !visited.contains(nb) &&
-            t.owner_of(key) == nb) {
-          best = nb;
-          break;
-        }
-      }
-    }
-    if (best == current) {
-      // Fallback for faces the merge filter removed: any stage-domain
-      // neighbor strictly closer to the key in XOR distance.
-      const std::uint64_t cur_d = space.xor_distance(net.id(current), key);
-      std::uint64_t best_d = cur_d;
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (!t.contains(nb) || visited.contains(nb)) continue;
-        const std::uint64_t d = space.xor_distance(net.id(nb), key);
-        if (d < best_d) {
-          best_d = d;
-          best = nb;
-        }
-      }
-      if (best != current) fallback_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (best == current) {
-      stuck_.fetch_add(1, std::memory_order_relaxed);
-      r.ok = false;
-      return r;
-    }
-    current = best;
-    visited.insert(current);
-    r.path.push_back(current);
-  }
-  r.ok = false;
-  return r;
-}
-
 namespace {
 
-bool in_list(const std::vector<std::uint32_t>& list, std::uint32_t node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
+/// The Can-Can hop budget for a `bits`-bit space.
+constexpr int max_hops_for(int bits) { return 8 * bits + 16; }
+
+/// The walk's cycle guard: every node entered so far. A walk enters at
+/// most 1 + its hop budget nodes, so the guard lives on the stack.
+class Visited {
+ public:
+  void push(NodeIndex node) { nodes_[size_++] = node; }
+  bool contains(NodeIndex node) const {
+    return std::find(nodes_.begin(), nodes_.begin() + size_, node) !=
+           nodes_.begin() + size_;
+  }
+
+ private:
+  std::array<NodeIndex, max_hops_for(64) + 1> nodes_;
+  std::ptrdiff_t size_ = 0;
+};
+
+/// The stage owner of `key` in domain `d`, or under faults its live
+/// takeover: the live member of `d` XOR-closest to the key.
+template <typename FaultPolicy>
+NodeIndex stage_target(const CanCanZones& zones, int d, NodeId key,
+                       const FaultPolicy& faults) {
+  const NodeIndex structural = zones.tree(d).owner_of(key);
+  if constexpr (!FaultPolicy::kActive) {
+    return structural;
+  } else {
+    if (!faults.dead.dead(structural)) return structural;
+    const OverlayNetwork& net = zones.net();
+    const IdSpace& space = net.space();
+    NodeIndex best = RingView::kNone;
+    std::uint64_t best_d = 0;
+    for (const NodeIndex m : net.domains().domain(d).members) {
+      if (faults.dead.dead(m)) continue;
+      const std::uint64_t dist = space.xor_distance(net.id(m), key);
+      if (best == RingView::kNone || dist < best_d) {
+        best = m;
+        best_d = dist;
+      }
+    }
+    if (best == RingView::kNone) {
+      throw std::logic_error("live_stage_owner: stage domain has no live node");
+    }
+    return best;
+  }
 }
 
-struct NullRecorder {
-  void operator()(std::uint32_t) const {}
-};
+/// The one Can-Can walk behind CanCanRouter (NoFaults) and
+/// ResilientCanCanRouter (Faults): stage by stage, greedy prefix-match
+/// growth within the stage domain's partition until the stage target,
+/// then a lift to the parent domain. Under Faults it skips dead and banned
+/// neighbors and retries dropped forwards. fallback_hops counts hops taken
+/// by the XOR fallback.
+template <typename FaultPolicy, typename Recorder>
+ResilientProbe cancan_walk(const CanCanZones& zones, const LinkTable& links,
+                           int max_hops, NodeIndex from, NodeId key,
+                           const FaultPolicy& faults, Recorder&& record) {
+  constexpr bool kFaults = FaultPolicy::kActive;
+  const OverlayNetwork& net = zones.net();
+  const IdSpace& space = net.space();
+  const DomainTree& dom = net.domains();
+  // Stage = the domain whose partition the message is currently finishing,
+  // starting at the source's leaf domain and lifting toward the root.
+  int stage = dom.domain_chain(from).back();
+  int depth = dom.domain(stage).depth;
+  const ZoneTree* tree = &zones.tree(stage);
+  NodeIndex target = stage_target(zones, stage, key, faults);
+  // The XOR fallback can decrease the prefix match, so guard against
+  // revisiting a node (which would mean a routing cycle).
+  Visited visited;
+  visited.push(from);
+  const auto banned = [&](NodeIndex nb) {
+    if constexpr (kFaults) return faults.banned_node(nb);
+    return false;
+  };
+  const auto usable = [&](NodeIndex nb) {
+    if (visited.contains(nb) || banned(nb)) return false;
+    if constexpr (kFaults) return !faults.dead.dead(nb);
+    return true;
+  };
 
-struct PathRecorder {
-  std::vector<std::uint32_t>* path;
-  void operator()(std::uint32_t node) const { path->push_back(node); }
-};
+  ResilientProbe p{from, 0, false, 0, 0};
+  for (int step = 0; step < max_hops; ++step) {
+    const NodeIndex current = p.terminal;
+    if (current == target) {
+      const int parent = dom.domain(stage).parent;
+      if (parent < 0) {
+        p.ok = true;  // finished the root partition
+        return p;
+      }
+      stage = parent;
+      depth = dom.domain(stage).depth;
+      tree = &zones.tree(stage);
+      target = stage_target(zones, stage, key, faults);
+      continue;  // lift the stage without consuming a hop
+    }
+    const int cur_match =
+        tree->match_at(zones.slot_in(current, stage, depth), key);
+    const auto row = links.neighbors(current);
+    int attempts = 0;
+    if constexpr (kFaults) {
+      faults.banned.clear();
+      attempts = faults.retry_budget;
+    }
+    for (;;) {  // per-hop retry ladder
+      NodeIndex best = current;
+      int best_match = cur_match;
+      for (const NodeIndex nb : row) {
+        const std::uint32_t slot = zones.slot_in(nb, stage, depth);
+        if (slot == ZoneTree::kNoSlot) continue;
+        const int m = tree->match_at(slot, key);
+        if (m > best_match && usable(nb)) {
+          best_match = m;
+          best = nb;
+        }
+      }
+      // The key's stage zone may be a short empty-sibling block: accept a
+      // neighbor that is the stage target outright.
+      if (best == current && !visited.contains(target) && !banned(target) &&
+          std::ranges::find(row, target) != row.end()) {
+        best = target;
+      }
+      bool via_fallback = false;
+      if (best == current) {
+        // Fallback for faces the merge filter removed (and, under faults,
+        // for dead ones): any stage-domain neighbor strictly closer to the
+        // key in XOR distance.
+        std::uint64_t best_d = space.xor_distance(net.id(current), key);
+        for (const NodeIndex nb : row) {
+          if (zones.slot_in(nb, stage, depth) == ZoneTree::kNoSlot) continue;
+          const std::uint64_t d = space.xor_distance(net.id(nb), key);
+          if (d < best_d && usable(nb)) {
+            best_d = d;
+            best = nb;
+          }
+        }
+        via_fallback = best != current;
+      }
+      if (best == current) return p;  // stuck
+      if constexpr (kFaults) {
+        if (faults.drops.drop()) {
+          faults.banned.push_back(best);
+          ++p.retries;
+          if (--attempts <= 0) return p;  // lost
+          continue;
+        }
+      }
+      p.fallback_hops += via_fallback;
+      p.terminal = best;
+      ++p.hops;
+      record(best);
+      visited.push(best);
+      break;
+    }
+  }
+  return p;  // hop guard exceeded
+}
 
 }  // namespace
 
-ResilientCanCanRouter::ResilientCanCanRouter(const CanCanNetwork& network,
+CanCanRouter::CanCanRouter(const CanCanZones& zones, const LinkTable& links)
+    : zones_(&zones),
+      links_(&links),
+      max_hops_(max_hops_for(zones.net().space().bits())) {
+  require_routable(zones.net(), links, "CanCanRouter");
+}
+
+Route CanCanRouter::route(std::uint32_t from, NodeId key) const {
+  Route r;
+  r.path.push_back(from);
+  const ResilientProbe p =
+      cancan_walk(*zones_, *links_, max_hops_, from, key, detail::NoFaults{},
+                  detail::PathRecorder{&r.path});
+  r.ok = p.ok;
+  if (!p.ok) stuck_.fetch_add(1, std::memory_order_relaxed);
+  fallback_.fetch_add(static_cast<std::size_t>(p.fallback_hops),
+                      std::memory_order_relaxed);
+  return r;
+}
+
+void CanCanRouter::route_into(std::uint32_t from, NodeId key,
+                              Route& out) const {
+  out.path.clear();
+  out.path.push_back(from);
+  out.ok = cancan_walk(*zones_, *links_, max_hops_, from, key,
+                       detail::NoFaults{}, detail::PathRecorder{&out.path})
+               .ok;
+}
+
+RouteProbe CanCanRouter::probe(std::uint32_t from, NodeId key) const {
+  return cancan_walk(*zones_, *links_, max_hops_, from, key,
+                     detail::NoFaults{}, detail::NullRecorder{})
+      .to_probe();
+}
+
+StepResult CanCanRouter::step(std::uint32_t at, NodeId key,
+                              std::uint64_t& state,
+                              std::span<NodeIndex> out) const {
+  const OverlayNetwork& net = zones_->net();
+  const IdSpace& space = net.space();
+  const DomainTree& dom = net.domains();
+  int stage = state == 0 ? static_cast<int>(dom.domain_chain(at).back())
+                         : static_cast<int>((state & 0xFFFFFFFFu) - 1);
+  const std::uint32_t prev =
+      state == 0 ? at : static_cast<std::uint32_t>((state >> 32) - 1);
+  // Lift the stage toward the root while this node owns the key's zone
+  // in the stage partition; lifting consumes no hop.
+  NodeIndex owner;
+  while ((owner = zones_->tree(stage).owner_of(key)) == at) {
+    if (dom.domain(stage).parent < 0) return {0, true, true};
+    stage = dom.domain(stage).parent;
+  }
+  const int depth = dom.domain(stage).depth;
+  const ZoneTree& tree = zones_->tree(stage);
+  const std::uint32_t at_slot = zones_->slot_in(at, stage, depth);
+  if (at_slot == ZoneTree::kNoSlot) {
+    throw std::invalid_argument("CanCanRouter::step: node outside its stage");
+  }
+  const int cur_match = tree.match_at(at_slot, key);
+  const auto row = links_->neighbors(at);
+  detail::TopK top(out.size());
+  for (const NodeIndex nb : row) {
+    const std::uint32_t slot = zones_->slot_in(nb, stage, depth);
+    if (slot == ZoneTree::kNoSlot || nb == prev) continue;
+    const int m = tree.match_at(slot, key);
+    if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
+  }
+  // Empty-sibling fallback: the stage owner as a neighbor.
+  if (top.count == 0 && owner != prev &&
+      std::ranges::find(row, owner) != row.end()) {
+    top.push(0, owner);
+  }
+  if (top.count == 0) {
+    // Faces the merge filter removed: stage neighbors strictly closer to
+    // the key in XOR distance.
+    const std::uint64_t cur_d = space.xor_distance(net.id(at), key);
+    for (const NodeIndex nb : row) {
+      if (nb == prev ||
+          zones_->slot_in(nb, stage, depth) == ZoneTree::kNoSlot) {
+        continue;
+      }
+      const std::uint64_t d = space.xor_distance(net.id(nb), key);
+      if (d < cur_d) top.push(d, nb);
+    }
+  }
+  if (top.count == 0) return {0, true, false};  // stuck
+  state = (static_cast<std::uint64_t>(at) + 1) << 32 |
+          static_cast<std::uint64_t>(stage + 1);
+  return {top.emit(out), false, false};
+}
+
+ResilientCanCanRouter::ResilientCanCanRouter(const CanCanZones& zones,
+                                             const LinkTable& links,
                                              int retry_budget)
-    : network_(&network),
+    : zones_(&zones),
+      links_(&links),
       retry_budget_(retry_budget),
-      max_hops_(8 * network.net().space().bits() + 16) {
+      max_hops_(max_hops_for(zones.net().space().bits())) {
+  require_routable(zones.net(), links, "ResilientCanCanRouter");
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientCanCanRouter: retry budget < 1");
   }
-}
-
-std::uint32_t ResilientCanCanRouter::live_stage_owner(
-    const ZoneTree& t, int d, NodeId key, const FailureSet& dead) const {
-  const std::uint32_t structural = t.owner_of(key);
-  if (!dead.dead(structural)) return structural;
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  std::uint32_t best = RingView::kNone;
-  std::uint64_t best_d = 0;
-  for (const std::uint32_t m : net.domains().domain(d).members) {
-    if (dead.dead(m) || !t.contains(m)) continue;
-    const std::uint64_t dist = space.xor_distance(net.id(m), key);
-    if (best == RingView::kNone || dist < best_d) {
-      best = m;
-      best_d = dist;
-    }
-  }
-  if (best == RingView::kNone) {
-    throw std::logic_error("live_stage_owner: stage domain has no live node");
-  }
-  return best;
 }
 
 template <typename Recorder>
@@ -213,103 +373,13 @@ ResilientProbe ResilientCanCanRouter::core(std::uint32_t from, NodeId key,
   if (dead.dead(from)) {
     throw std::invalid_argument("ResilientCanCanRouter: source is dead");
   }
-  const OverlayNetwork& net = network_->net();
-  const IdSpace& space = net.space();
-  const DomainTree& dom = net.domains();
-  const bool faults = dead.any() || drops.active();
-  std::uint32_t current = from;
-  int hops = 0;
-  int retries = 0;
-  int fallback_hops = 0;
-  int stage_domain = dom.domain_chain(from).back();
-  const ZoneTree* t = &network_->tree(stage_domain);
-  // The target of the current stage; under faults a dead owner's zone is
-  // taken over by the live stage member XOR-closest to the key.
-  std::uint32_t stage_target =
-      faults ? live_stage_owner(*t, stage_domain, key, dead) : t->owner_of(key);
-  scratch.visited.clear();
-  scratch.visited.push_back(from);
-
-  for (int step = 0; step < max_hops_; ++step) {
-    if (stage_target == current) {
-      if (dom.domain(stage_domain).parent < 0) {
-        return {current, hops, true, retries, fallback_hops};  // root done
-      }
-      stage_domain = dom.domain(stage_domain).parent;
-      t = &network_->tree(stage_domain);
-      stage_target = faults ? live_stage_owner(*t, stage_domain, key, dead)
-                            : t->owner_of(key);
-      continue;  // lift the stage without consuming a hop
-    }
-    const int cur_match = t->match_len(current, key);
-    scratch.banned.clear();
-    int attempts = retry_budget_;
-    for (;;) {  // per-hop retry ladder
-      std::uint32_t best = current;
-      int best_match = cur_match;
-      for (const std::uint32_t nb : network_->links().neighbors(current)) {
-        if (!t->contains(nb) || in_list(scratch.visited, nb)) continue;
-        if (faults && (dead.dead(nb) || in_list(scratch.banned, nb))) {
-          continue;
-        }
-        const int m = t->match_len(nb, key);
-        if (m > best_match) {
-          best_match = m;
-          best = nb;
-        }
-      }
-      if (best == current) {
-        // The key's stage zone may be a short empty-sibling block: accept
-        // a neighbor that is the stage target outright.
-        for (const std::uint32_t nb : network_->links().neighbors(current)) {
-          if (!t->contains(nb) || in_list(scratch.visited, nb) ||
-              nb != stage_target) {
-            continue;
-          }
-          if (faults && in_list(scratch.banned, nb)) continue;
-          best = nb;
-          break;
-        }
-      }
-      bool via_fallback = false;
-      if (best == current) {
-        // Fallback for faces the merge filter removed (and, under faults,
-        // for dead ones): any stage-domain neighbor strictly closer to the
-        // key in XOR distance.
-        std::uint64_t best_d = space.xor_distance(net.id(current), key);
-        for (const std::uint32_t nb : network_->links().neighbors(current)) {
-          if (!t->contains(nb) || in_list(scratch.visited, nb)) continue;
-          if (faults && (dead.dead(nb) || in_list(scratch.banned, nb))) {
-            continue;
-          }
-          const std::uint64_t d = space.xor_distance(net.id(nb), key);
-          if (d < best_d) {
-            best_d = d;
-            best = nb;
-          }
-        }
-        via_fallback = best != current;
-      }
-      if (best == current) {
-        return {current, hops, false, retries, fallback_hops};  // stuck
-      }
-      if (drops.drop()) {
-        scratch.banned.push_back(best);
-        ++retries;
-        if (--attempts <= 0) {
-          return {current, hops, false, retries, fallback_hops};  // lost
-        }
-        continue;
-      }
-      if (via_fallback) ++fallback_hops;
-      current = best;
-      ++hops;
-      record(current);
-      scratch.visited.push_back(current);
-      break;
-    }
+  if (!dead.any() && !drops.active()) {
+    return cancan_walk(*zones_, *links_, max_hops_, from, key,
+                       detail::NoFaults{}, record);
   }
-  return {current, hops, false, retries, fallback_hops};
+  const detail::Faults faults{dead,    drops, scratch.banned, nullptr, 0,
+                              retry_budget_};
+  return cancan_walk(*zones_, *links_, max_hops_, from, key, faults, record);
 }
 
 ResilientProbe ResilientCanCanRouter::route_into(std::uint32_t from,
@@ -322,7 +392,7 @@ ResilientProbe ResilientCanCanRouter::route_into(std::uint32_t from,
   out.path.push_back(from);
   out.ok = false;
   const ResilientProbe p =
-      core(from, key, dead, drops, scratch, PathRecorder{&out.path});
+      core(from, key, dead, drops, scratch, detail::PathRecorder{&out.path});
   out.ok = p.ok;
   return p;
 }
@@ -331,7 +401,7 @@ ResilientProbe ResilientCanCanRouter::probe(std::uint32_t from, NodeId key,
                                             const FailureSet& dead,
                                             DropRoller& drops,
                                             Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, NullRecorder{});
+  return core(from, key, dead, drops, scratch, detail::NullRecorder{});
 }
 
 }  // namespace canon

@@ -17,88 +17,158 @@
 #define CANON_CANON_CANCAN_H
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dht/can.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
+#include "overlay/stepper.h"
 
 namespace canon {
 
-/// The per-domain zone partitions plus the Canon-filtered link table.
-class CanCanNetwork {
+namespace telemetry {
+class ScopedTimer;
+}
+
+/// The per-domain zone partitions of a hierarchy plus a per-(node, level)
+/// index into them. A node belongs to exactly one domain per level of its
+/// chain, so one (domain, slot) entry per (node, level) answers both "is
+/// this node in the stage domain?" and "where are its zones?" with a
+/// single load.
+class CanCanZones {
  public:
-  explicit CanCanNetwork(const OverlayNetwork& net);
+  explicit CanCanZones(const OverlayNetwork& net);
 
   const OverlayNetwork& net() const { return *net_; }
-  const LinkTable& links() const { return links_; }
 
   /// Zone partition of domain `d` (a DomainTree index).
-  const ZoneTree& tree(int d) const { return *trees_[static_cast<std::size_t>(d)]; }
+  const ZoneTree& tree(int d) const {
+    return *trees_[static_cast<std::size_t>(d)];
+  }
+
+  /// The slot of `node` in the partition of domain `d` (at depth `depth`),
+  /// or ZoneTree::kNoSlot when `node` is not in `d`.
+  std::uint32_t slot_in(NodeIndex node, int d, int depth) const {
+    const Level& l = levels_[static_cast<std::size_t>(node) * stride_ +
+                             static_cast<std::size_t>(depth)];
+    return l.domain == d ? l.slot : ZoneTree::kNoSlot;
+  }
 
   /// The node that should answer `key` (owner of the key's zone in the
   /// root partition).
   std::uint32_t responsible(NodeId key) const;
 
  private:
+  struct Level {
+    std::int32_t domain = -1;  ///< -1 below the node's leaf depth
+    std::uint32_t slot = 0;
+  };
+
   const OverlayNetwork* net_;
   std::vector<std::unique_ptr<ZoneTree>> trees_;  // by domain index
+  std::size_t stride_;                            // max depth + 1
+  std::vector<Level> levels_;                     // node * stride_ + depth
+};
+
+/// The per-domain zone partitions plus the Canon-filtered link table.
+class CanCanNetwork {
+ public:
+  explicit CanCanNetwork(const OverlayNetwork& net);
+
+  const OverlayNetwork& net() const { return zones_.net(); }
+  const CanCanZones& zones() const { return zones_; }
+  const LinkTable& links() const { return links_; }
+
+  /// Zone partition of domain `d` (a DomainTree index).
+  const ZoneTree& tree(int d) const { return zones_.tree(d); }
+
+  /// The node that should answer `key` (owner of the key's zone in the
+  /// root partition).
+  std::uint32_t responsible(NodeId key) const {
+    return zones_.responsible(key);
+  }
+
+ private:
+  /// The public constructor delegates here with the build timer running,
+  /// so build.cancan_ms spans the partitions and the link table.
+  CanCanNetwork(const OverlayNetwork& net, const telemetry::ScopedTimer&);
+
+  CanCanZones zones_;
   LinkTable links_;
 };
 
-/// Staged greedy router over a CanCanNetwork (see file comment). Reports
-/// `stuck_count` across its lifetime: hops where no link improved the
-/// current stage's prefix match (a failed route). The counts are atomic so
-/// concurrent route() calls on one const router (batch QueryEngine fan-out)
-/// stay race-free; they are diagnostics, not part of the deterministic
+/// Staged greedy router over a Can-Can link table (see file comment).
+/// Follows the hot-path contract of overlay/routing.h: route_into() and
+/// probe() allocate nothing and record nothing. route() additionally
+/// reports `stuck_count` across its lifetime: routes that dead-ended. The
+/// counts are atomic so concurrent route() calls on one const router stay
+/// race-free; they are diagnostics, not part of the deterministic
 /// per-query results.
 ///
-/// Ordering contract: every access — the fetch_add on the hot scan and
-/// the reads above — uses memory_order_relaxed. The counters are
-/// merge-only tallies: no other memory is published through them, readers
-/// want a sum, not a synchronization point, and the QueryEngine's shard
-/// barrier (parallel_for join) already sequences "batch finished" before
-/// any caller reads the totals. Relaxed keeps the per-hop increment a
-/// plain locked add with no fence on the scan path; do not "upgrade"
-/// these to acquire/release — there is nothing to acquire.
+/// Ordering contract: every access uses memory_order_relaxed. The counters
+/// are merge-only tallies: no other memory is published through them and
+/// readers want a sum, not a synchronization point. Do not "upgrade" these
+/// to acquire/release — there is nothing to acquire.
 class CanCanRouter {
  public:
-  explicit CanCanRouter(const CanCanNetwork& network);
+  /// `zones` and `links` are borrowed; `links` must be the Can-Can table
+  /// of zones.net() (throws std::invalid_argument unless routable).
+  CanCanRouter(const CanCanZones& zones, const LinkTable& links);
+  explicit CanCanRouter(const CanCanNetwork& network)
+      : CanCanRouter(network.zones(), network.links()) {}
 
   Route route(std::uint32_t from, NodeId key) const;
+  void route_into(std::uint32_t from, NodeId key, Route& out) const;
+  RouteProbe probe(std::uint32_t from, NodeId key) const;
 
-  /// Routes that dead-ended (failed).
+  /// One resumable hop (overlay/stepper.h). `state` packs the stage
+  /// domain plus the previously visited node:
+  /// (prev_node + 1) << 32 | (stage_domain + 1); 0 = first step. The walk
+  /// keeps every visited node to guard the XOR fallback against cycles,
+  /// which cannot ride in 64 bits — the immediate-backtrack guard catches
+  /// the 2-cycles the fallback actually produces and the simulator's hop
+  /// guard bounds the rest.
+  StepResult step(std::uint32_t at, NodeId key, std::uint64_t& state,
+                  std::span<NodeIndex> out) const;
+
+  /// route() calls that dead-ended (failed).
   std::size_t stuck_count() const {
     return stuck_.load(std::memory_order_relaxed);
   }
-  /// Hops that needed the XOR-distance fallback (route still succeeded).
+  /// Hops of route() calls that needed the XOR-distance fallback.
   std::size_t fallback_count() const {
     return fallback_.load(std::memory_order_relaxed);
   }
 
  private:
-  const CanCanNetwork* network_;
+  const CanCanZones* zones_;
+  const LinkTable* links_;
   int max_hops_;
   mutable std::atomic<std::size_t> stuck_{0};
   mutable std::atomic<std::size_t> fallback_{0};
 };
 
-/// Failure-aware staged routing over a CanCanNetwork: the plain stage walk
-/// restricted to live neighbors, with per-stage zone takeover (a dead
+/// Failure-aware staged routing over a Can-Can link table: the plain stage
+/// walk restricted to live neighbors, with per-stage zone takeover (a dead
 /// stage owner is replaced by the live stage member XOR-closest to the
 /// key — every stage domain contains the live source, so a takeover
 /// always exists) and the per-hop drop-retry ladder shared by the other
 /// resilient cores. Follows the hot-path contract of overlay/routing.h.
 class ResilientCanCanRouter {
  public:
+  ResilientCanCanRouter(const CanCanZones& zones, const LinkTable& links,
+                        int retry_budget = kRetryBudget);
   explicit ResilientCanCanRouter(const CanCanNetwork& network,
-                                 int retry_budget = kRetryBudget);
+                                 int retry_budget = kRetryBudget)
+      : ResilientCanCanRouter(network.zones(), network.links(),
+                              retry_budget) {}
 
   struct Scratch {
-    std::vector<std::uint32_t> banned;   ///< candidates dropped this hop
-    std::vector<std::uint32_t> visited;  ///< cycle guard (plain has it too)
+    std::vector<std::uint32_t> banned;  ///< candidates dropped this hop
   };
 
   /// ok iff the walk finished the root partition at the key's live owner.
@@ -115,12 +185,8 @@ class ResilientCanCanRouter {
                       DropRoller& drops, Scratch& scratch,
                       Recorder&& record) const;
 
-  /// The stage partition's key owner, or its live takeover within domain
-  /// `d` (see class comment).
-  std::uint32_t live_stage_owner(const ZoneTree& t, int d, NodeId key,
-                                 const FailureSet& dead) const;
-
-  const CanCanNetwork* network_;
+  const CanCanZones* zones_;
+  const LinkTable* links_;
   int retry_budget_;
   int max_hops_;
 };

@@ -7,6 +7,7 @@
 #ifndef CANON_COMMON_IDS_H
 #define CANON_COMMON_IDS_H
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -34,16 +35,14 @@ inline constexpr NodeIndex kInvalidNodeIndex = 0xFFFFFFFFu;
 /// 32-bit experiments).
 inline constexpr int kDefaultIdBits = 32;
 
-/// Integer floor(log2(x)) for x >= 1.
+/// Integer floor(log2(x)) for x >= 1; floor_log2(0) == 0.
 constexpr int floor_log2(std::uint64_t x) {
-  int r = 0;
-  while (x >>= 1) ++r;
-  return r;
+  return static_cast<int>(std::bit_width(x | 1)) - 1;
 }
 
-/// Integer ceil(log2(x)) for x >= 1.
+/// Integer ceil(log2(x)) for x >= 1; ceil_log2(0) == 0.
 constexpr int ceil_log2(std::uint64_t x) {
-  return x <= 1 ? 0 : floor_log2(x - 1) + 1;
+  return x <= 1 ? 0 : static_cast<int>(std::bit_width(x - 1));
 }
 
 /// An N-bit identifier space. Provides masking and the two distance

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.h"
+#include "overlay/greedy_kernel.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
@@ -19,107 +21,124 @@ int bit_at(NodeId id, int pos, int bits) {
 
 ZoneTree::ZoneTree(const OverlayNetwork& net,
                    std::span<const std::uint32_t> members)
-    : net_(&net) {
+    : net_(&net),
+      bits_(net.space().bits()),
+      mask_(net.space().mask()),
+      members_(members.begin(), members.end()) {
   if (members.empty()) throw std::invalid_argument("ZoneTree: no members");
   for (std::size_t i = 1; i < members.size(); ++i) {
     if (net.id(members[i - 1]) >= net.id(members[i])) {
       throw std::invalid_argument("ZoneTree: members must be ID-sorted");
     }
   }
-  build(members, 0, members.size(), 0, 0);
+  std::vector<Leaf> leaves;
+  leaves.reserve(2 * members.size());
+  trie_.reserve(4 * members.size());
+  build(0, members.size(), 0, 0, leaves);
+
+  // CSR of zones by slot: the primary zone first, the rest in trie
+  // creation order.
+  zone_offsets_.assign(members_.size() + 1, 0);
+  for (const Leaf& l : leaves) ++zone_offsets_[l.slot + 1];
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    zone_offsets_[i + 1] += zone_offsets_[i];
+  }
+  zones_.resize(leaves.size());
+  std::vector<std::uint32_t> next(members_.size(), 1);  // past the primary
+  for (const Leaf& l : leaves) {
+    const std::uint32_t at =
+        zone_offsets_[l.slot] + (l.primary ? 0 : next[l.slot]++);
+    zones_[at] = l.zone;
+  }
 }
 
-int ZoneTree::make_leaf(std::uint32_t owner, NodeId prefix, int len) {
-  const int idx = static_cast<int>(trie_.size());
-  trie_.push_back(TrieNode{{-1, -1}, owner, true, Zone{prefix, len}});
-  leaves_of_[owner].push_back(idx);
+std::int32_t ZoneTree::make_leaf(std::size_t slot, NodeId prefix, int len,
+                                 std::vector<Leaf>& leaves) {
+  const auto idx = static_cast<std::int32_t>(trie_.size());
+  trie_.push_back(TrieNode{{-1, -1}, members_[slot]});
   // The primary leaf is the one containing the owner's own ID.
-  const int bits = net_->space().bits();
-  const NodeId id = net_->id(owner);
-  if (len == 0 || (id >> (bits - len)) == (prefix >> (bits - len))) {
-    primary_leaf_[owner] = idx;
-  }
+  const NodeId id = net_->id(members_[slot]);
+  const bool primary =
+      len == 0 || (id >> (bits_ - len)) == (prefix >> (bits_ - len));
+  leaves.push_back(Leaf{static_cast<std::uint32_t>(slot), primary,
+                        Zone{prefix, len}});
   return idx;
 }
 
-int ZoneTree::build(std::span<const std::uint32_t> members, std::size_t lo,
-                    std::size_t hi, NodeId prefix, int len) {
-  const int bits = net_->space().bits();
-  if (hi - lo == 1) return make_leaf(members[lo], prefix, len);
-  if (len >= bits) throw std::logic_error("ZoneTree: duplicate IDs");
+std::int32_t ZoneTree::build(std::size_t lo, std::size_t hi, NodeId prefix,
+                             int len, std::vector<Leaf>& leaves) {
+  if (hi - lo == 1) return make_leaf(lo, prefix, len, leaves);
+  if (len >= bits_) throw std::logic_error("ZoneTree: duplicate IDs");
 
   // Split the ID-sorted span at the first member whose bit `len` is 1.
-  const NodeId half = NodeId{1} << (bits - 1 - len);
-  const NodeId split_id = prefix | half;
-  std::size_t mid = lo;
-  while (mid < hi && net_->id(members[mid]) < split_id) ++mid;
+  const NodeId split_id = prefix | (NodeId{1} << (bits_ - 1 - len));
+  const auto first = members_.begin();
+  const std::size_t mid = static_cast<std::size_t>(
+      std::partition_point(first + static_cast<std::ptrdiff_t>(lo),
+                           first + static_cast<std::ptrdiff_t>(hi),
+                           [&](std::uint32_t m) {
+                             return net_->id(m) < split_id;
+                           }) -
+      first);
 
-  const int idx = static_cast<int>(trie_.size());
-  trie_.push_back(TrieNode{{-1, -1}, 0, false, Zone{prefix, len}});
-  int left;
-  int right;
+  const auto idx = static_cast<std::int32_t>(trie_.size());
+  trie_.emplace_back();
+  std::int32_t left;
+  std::int32_t right;
   if (mid == lo) {
     // Left half empty: owned by the boundary member (smallest ID on the
     // populated side), the member "closest across" the empty block.
-    left = make_leaf(members[lo], prefix, len + 1);
-    right = build(members, lo, hi, split_id, len + 1);
+    left = make_leaf(lo, prefix, len + 1, leaves);
+    right = build(lo, hi, split_id, len + 1, leaves);
   } else if (mid == hi) {
-    right = make_leaf(members[hi - 1], split_id, len + 1);
-    left = build(members, lo, hi, prefix, len + 1);
+    right = make_leaf(hi - 1, split_id, len + 1, leaves);
+    left = build(lo, hi, prefix, len + 1, leaves);
   } else {
-    left = build(members, lo, mid, prefix, len + 1);
-    right = build(members, mid, hi, split_id, len + 1);
+    left = build(lo, mid, prefix, len + 1, leaves);
+    right = build(mid, hi, split_id, len + 1, leaves);
   }
   trie_[static_cast<std::size_t>(idx)].child[0] = left;
   trie_[static_cast<std::size_t>(idx)].child[1] = right;
   return idx;
 }
 
-int ZoneTree::leaf_containing(NodeId point) const {
-  const int bits = net_->space().bits();
-  int cur = 0;
-  int depth = 0;
-  while (!trie_[static_cast<std::size_t>(cur)].is_leaf) {
-    cur = trie_[static_cast<std::size_t>(cur)].child[bit_at(point, depth,
-                                                            bits)];
-    ++depth;
+std::uint32_t ZoneTree::checked_slot(std::uint32_t node,
+                                     const char* who) const {
+  // Node indices are ID-ordered, so the ID-sorted member list is sorted by
+  // index too.
+  const auto it = std::lower_bound(members_.begin(), members_.end(), node);
+  if (it == members_.end() || *it != node) {
+    throw std::invalid_argument(std::string(who) + ": not a member");
   }
-  return cur;
+  return static_cast<std::uint32_t>(it - members_.begin());
 }
 
 ZoneTree::Zone ZoneTree::zone(std::uint32_t node) const {
-  const auto it = primary_leaf_.find(node);
-  if (it == primary_leaf_.end()) {
-    throw std::invalid_argument("ZoneTree::zone: not a member");
-  }
-  return trie_[static_cast<std::size_t>(it->second)].block;
+  return zones_at(checked_slot(node, "ZoneTree::zone"))[0];
 }
 
 std::vector<ZoneTree::Zone> ZoneTree::zones_of(std::uint32_t node) const {
-  const auto it = leaves_of_.find(node);
-  if (it == leaves_of_.end()) {
-    throw std::invalid_argument("ZoneTree::zones_of: not a member");
-  }
-  std::vector<Zone> out;
-  out.reserve(it->second.size());
-  out.push_back(zone(node));
-  const int primary = primary_leaf_.at(node);
-  for (const int leaf : it->second) {
-    if (leaf != primary) {
-      out.push_back(trie_[static_cast<std::size_t>(leaf)].block);
-    }
-  }
-  return out;
+  const auto zones = zones_at(checked_slot(node, "ZoneTree::zones_of"));
+  return {zones.begin(), zones.end()};
+}
+
+int ZoneTree::match_len(std::uint32_t node, NodeId key) const {
+  return match_at(checked_slot(node, "ZoneTree::match_len"), key);
 }
 
 std::uint32_t ZoneTree::owner_of(NodeId point) const {
-  return trie_[static_cast<std::size_t>(leaf_containing(point))].owner;
+  std::size_t cur = 0;
+  for (int depth = 0; trie_[cur].child[0] >= 0; ++depth) {
+    cur = static_cast<std::size_t>(trie_[cur].child[bit_at(point, depth,
+                                                            bits_)]);
+  }
+  return trie_[cur].owner;
 }
 
-void ZoneTree::collect_leaf_owners(int trie_node,
+void ZoneTree::collect_leaf_owners(std::int32_t trie_node,
                                    std::vector<std::uint32_t>& out) const {
   const TrieNode& t = trie_[static_cast<std::size_t>(trie_node)];
-  if (t.is_leaf) {
+  if (t.child[0] < 0) {
     out.push_back(t.owner);
     return;
   }
@@ -131,13 +150,12 @@ void ZoneTree::block_owners(NodeId prefix, int len,
                             std::vector<std::uint32_t>& out) const {
   // Descend along `prefix`; stopping early at a leaf means one larger zone
   // covers the whole block.
-  const int bits = net_->space().bits();
-  int cur = 0;
-  int depth = 0;
-  while (depth < len && !trie_[static_cast<std::size_t>(cur)].is_leaf) {
+  std::int32_t cur = 0;
+  for (int depth = 0;
+       depth < len && trie_[static_cast<std::size_t>(cur)].child[0] >= 0;
+       ++depth) {
     cur = trie_[static_cast<std::size_t>(cur)].child[bit_at(prefix, depth,
-                                                            bits)];
-    ++depth;
+                                                            bits_)];
   }
   collect_leaf_owners(cur, out);
 }
@@ -148,39 +166,20 @@ void ZoneTree::face_neighbors(std::uint32_t node, int pos,
   if (pos < 0 || pos >= z.len) {
     throw std::out_of_range("ZoneTree::face_neighbors: bad face position");
   }
-  const int bits = net_->space().bits();
-  block_owners(z.prefix ^ (NodeId{1} << (bits - 1 - pos)), z.len, out);
+  block_owners(z.prefix ^ (NodeId{1} << (bits_ - 1 - pos)), z.len, out);
 }
 
 std::vector<std::uint32_t> ZoneTree::neighbors(std::uint32_t node) const {
   std::vector<std::uint32_t> out;
-  const int bits = net_->space().bits();
-  for (const Zone& z : zones_of(node)) {
+  for (const Zone& z : zones_at(checked_slot(node, "ZoneTree::neighbors"))) {
     for (int pos = 0; pos < z.len; ++pos) {
-      block_owners(z.prefix ^ (NodeId{1} << (bits - 1 - pos)), z.len, out);
+      block_owners(z.prefix ^ (NodeId{1} << (bits_ - 1 - pos)), z.len, out);
     }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   out.erase(std::remove(out.begin(), out.end(), node), out.end());
   return out;
-}
-
-int ZoneTree::match_len(std::uint32_t node, NodeId key) const {
-  const auto it = leaves_of_.find(node);
-  if (it == leaves_of_.end()) {
-    throw std::invalid_argument("ZoneTree::match_len: not a member");
-  }
-  const int bits = net_->space().bits();
-  int best = 0;
-  for (const int leaf : it->second) {
-    const Zone& z = trie_[static_cast<std::size_t>(leaf)].block;
-    const NodeId diff = (z.prefix ^ key) & net_->space().mask();
-    const int m =
-        diff == 0 ? z.len : std::min(bits - 1 - floor_log2(diff), z.len);
-    best = std::max(best, m);
-  }
-  return best;
 }
 
 CanNetwork build_can(const OverlayNetwork& net) {
@@ -202,6 +201,113 @@ CanNetwork build_can(const OverlayNetwork& net) {
   return CanNetwork{std::move(tree), std::move(links)};
 }
 
+namespace {
+
+/// Throws unless `tree` partitions all of `net`'s nodes, so that a node's
+/// slot is its index.
+void require_whole_network(const OverlayNetwork& net, const ZoneTree& tree,
+                           const char* who) {
+  if (tree.member_count() != net.size()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": zone tree must cover every node");
+  }
+}
+
+/// The one CAN walk behind CanRouter (NoFaults) and ResilientCanRouter
+/// (Faults): bit-fixing towards `target` (the key's owner, or its live
+/// takeover under Faults). Under Faults it skips dead, banned and visited
+/// neighbors, sidesteps through the live-face fallback, and retries
+/// dropped forwards; `visited` is then the walk's cycle guard.
+template <typename FaultPolicy, typename Recorder>
+ResilientProbe can_walk(const OverlayNetwork& net, const ZoneTree& tree,
+                        const LinkTable& links, int max_hops,
+                        NodeIndex from, NodeId key, NodeIndex target,
+                        const FaultPolicy& faults,
+                        std::vector<NodeIndex>* visited, Recorder&& record) {
+  constexpr bool kFaults = FaultPolicy::kActive;
+  const IdSpace& space = net.space();
+  ResilientProbe p{from, 0, false, 0, 0};
+  if constexpr (kFaults) visited->clear();
+  const auto banned = [&](NodeIndex nb) {
+    if constexpr (kFaults) return faults.banned_node(nb);
+    return false;
+  };
+  const auto usable = [&](NodeIndex nb) {
+    if constexpr (kFaults) {
+      return !faults.dead.dead(nb) && !banned(nb) &&
+             std::ranges::find(*visited, nb) == visited->end();
+    }
+    return true;
+  };
+  for (int step = 0; step < max_hops; ++step) {
+    const NodeIndex current = p.terminal;
+    if (current == target) {
+      p.ok = true;
+      return p;
+    }
+    const int cur_match = tree.match_at(current, key);
+    const auto row = links.neighbors(current);
+    int attempts = 0;
+    if constexpr (kFaults) {
+      faults.banned.clear();
+      attempts = faults.retry_budget;
+    }
+    for (;;) {  // per-hop retry ladder
+      // The plain bit-fixing scan: the first neighbor with the longest
+      // prefix match beyond the current node's.
+      NodeIndex best = current;
+      int best_match = cur_match;
+      for (const NodeIndex nb : row) {
+        const int m = tree.match_at(nb, key);
+        if (m > best_match && usable(nb)) {
+          best_match = m;
+          best = nb;
+        }
+      }
+      // Final hop: the target itself (the key's zone may be a short
+      // empty-sibling block owned by an adjacent node).
+      if (best == current && !banned(target) &&
+          std::ranges::find(row, target) != row.end()) {
+        best = target;
+      }
+      bool via_fallback = false;
+      if constexpr (kFaults) {
+        if (best == current) {
+          // Live-face fallback: an unvisited live neighbor strictly
+          // XOR-closer to the key.
+          std::uint64_t best_d = space.xor_distance(net.id(current), key);
+          for (const NodeIndex nb : row) {
+            const std::uint64_t d = space.xor_distance(net.id(nb), key);
+            if (d < best_d && usable(nb)) {
+              best_d = d;
+              best = nb;
+            }
+          }
+          via_fallback = best != current;
+        }
+      }
+      if (best == current) return p;  // stuck
+      if constexpr (kFaults) {
+        if (faults.drops.drop()) {
+          faults.banned.push_back(best);
+          ++p.retries;
+          if (--attempts <= 0) return p;  // lost
+          continue;
+        }
+        p.fallback_hops += via_fallback;
+        visited->push_back(best);
+      }
+      p.terminal = best;
+      ++p.hops;
+      record(best);
+      break;
+    }
+  }
+  return p;  // hop guard exceeded: structurally broken table
+}
+
+}  // namespace
+
 CanRouter::CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
                      const LinkTable& links)
     : net_(&net),
@@ -209,66 +315,48 @@ CanRouter::CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
       links_(&links),
       max_hops_(hop_guard(net)) {
   require_routable(net, links, "CanRouter");
+  require_whole_network(net, tree, "CanRouter");
 }
 
 Route CanRouter::route(std::uint32_t from, NodeId key) const {
   Route r;
-  r.path.push_back(from);
-  std::uint32_t current = from;
-  for (int step = 0; step < max_hops_; ++step) {
-    if (tree_->owner_of(key) == current) {
-      r.ok = true;
-      return r;
-    }
-    const int cur_match = tree_->match_len(current, key);
-    std::uint32_t best = current;
-    int best_match = cur_match;
-    for (const std::uint32_t nb : links_->neighbors(current)) {
-      if (!tree_->contains(nb)) continue;
-      const int m = tree_->match_len(nb, key);
-      if (m > best_match) {
-        best_match = m;
-        best = nb;
-      }
-    }
-    if (best == current) {
-      // Prefix matches cannot grow, but the key's zone may be a short
-      // empty-sibling block owned by an adjacent node: take a final hop to
-      // a neighbor that owns the key.
-      for (const std::uint32_t nb : links_->neighbors(current)) {
-        if (tree_->contains(nb) && tree_->owner_of(key) == nb) {
-          best = nb;
-          break;
-        }
-      }
-    }
-    if (best == current) {
-      r.ok = false;  // stuck
-      return r;
-    }
-    current = best;
-    r.path.push_back(current);
-  }
-  r.ok = false;
+  route_into(from, key, r);
   return r;
 }
 
-namespace {
-
-bool in_list(const std::vector<std::uint32_t>& list, std::uint32_t node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
+void CanRouter::route_into(std::uint32_t from, NodeId key, Route& out) const {
+  out.path.clear();
+  out.path.push_back(from);
+  out.ok = can_walk(*net_, *tree_, *links_, max_hops_, from, key,
+                    tree_->owner_of(key), detail::NoFaults{}, nullptr,
+                    detail::PathRecorder{&out.path})
+               .ok;
 }
 
-struct NullRecorder {
-  void operator()(std::uint32_t) const {}
-};
+RouteProbe CanRouter::probe(std::uint32_t from, NodeId key) const {
+  return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
+                  tree_->owner_of(key), detail::NoFaults{}, nullptr,
+                  detail::NullRecorder{})
+      .to_probe();
+}
 
-struct PathRecorder {
-  std::vector<std::uint32_t>* path;
-  void operator()(std::uint32_t node) const { path->push_back(node); }
-};
-
-}  // namespace
+StepResult CanRouter::step(std::uint32_t at, NodeId key,
+                           std::span<NodeIndex> out) const {
+  const NodeIndex owner = tree_->owner_of(key);
+  if (at == owner) return {0, true, true};
+  const int cur_match = tree_->match_at(at, key);
+  const auto row = links_->neighbors(at);
+  detail::TopK top(out.size());
+  for (const NodeIndex nb : row) {
+    const int m = tree_->match_at(nb, key);
+    if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
+  }
+  if (top.count == 0 && std::ranges::find(row, owner) != row.end()) {
+    top.push(0, owner);
+  }
+  if (top.count == 0) return {0, true, false};  // stuck
+  return {top.emit(out), false, false};
+}
 
 ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
                                        const ZoneTree& tree,
@@ -280,6 +368,7 @@ ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
       retry_budget_(retry_budget),
       max_hops_(hop_guard(net)) {
   require_routable(net, links, "ResilientCanRouter");
+  require_whole_network(net, tree, "ResilientCanRouter");
   if (retry_budget < 1) {
     throw std::invalid_argument("ResilientCanRouter: retry budget < 1");
   }
@@ -293,7 +382,7 @@ std::uint32_t ResilientCanRouter::live_owner(NodeId key,
   std::uint32_t best = RingView::kNone;
   std::uint64_t best_d = 0;
   for (std::uint32_t i = 0; i < net_->size(); ++i) {
-    if (dead.dead(i) || !tree_->contains(i)) continue;
+    if (dead.dead(i)) continue;
     const std::uint64_t d = space.xor_distance(net_->id(i), key);
     if (best == RingView::kNone || d < best_d) {
       best = i;
@@ -314,84 +403,15 @@ ResilientProbe ResilientCanRouter::core(std::uint32_t from, NodeId key,
   if (dead.dead(from)) {
     throw std::invalid_argument("ResilientCanRouter: source is dead");
   }
-  const IdSpace& space = net_->space();
-  const bool faults = dead.any() || drops.active();
-  const std::uint32_t target =
-      faults ? live_owner(key, dead) : tree_->owner_of(key);
-  std::uint32_t current = from;
-  int hops = 0;
-  int retries = 0;
-  int fallback_hops = 0;
-  scratch.visited.clear();
-  for (int step = 0; step < max_hops_; ++step) {
-    if (current == target) return {current, hops, true, retries, fallback_hops};
-    const int cur_match = tree_->match_len(current, key);
-    scratch.banned.clear();
-    int attempts = retry_budget_;
-    for (;;) {  // per-hop retry ladder
-      // Stage 1: the plain bit-fixing scan over live, unbanned neighbors.
-      std::uint32_t best = current;
-      int best_match = cur_match;
-      for (const std::uint32_t nb : links_->neighbors(current)) {
-        if (!tree_->contains(nb)) continue;
-        if (faults && (dead.dead(nb) || in_list(scratch.banned, nb) ||
-                       in_list(scratch.visited, nb))) {
-          continue;
-        }
-        const int m = tree_->match_len(nb, key);
-        if (m > best_match) {
-          best_match = m;
-          best = nb;
-        }
-      }
-      if (best == current) {
-        // Final hop: a neighbor that is the target itself (the key's zone
-        // may be a short empty-sibling block owned by an adjacent node).
-        for (const std::uint32_t nb : links_->neighbors(current)) {
-          if (!tree_->contains(nb) || nb != target) continue;
-          if (faults && in_list(scratch.banned, nb)) continue;
-          best = nb;
-          break;
-        }
-      }
-      bool via_fallback = false;
-      if (best == current && faults) {
-        // Stage 2: live-face fallback — an unvisited live neighbor
-        // strictly XOR-closer to the key.
-        std::uint64_t best_d = space.xor_distance(net_->id(current), key);
-        for (const std::uint32_t nb : links_->neighbors(current)) {
-          if (!tree_->contains(nb) || dead.dead(nb) ||
-              in_list(scratch.banned, nb) || in_list(scratch.visited, nb)) {
-            continue;
-          }
-          const std::uint64_t d = space.xor_distance(net_->id(nb), key);
-          if (d < best_d) {
-            best_d = d;
-            best = nb;
-          }
-        }
-        via_fallback = best != current;
-      }
-      if (best == current) {
-        return {current, hops, false, retries, fallback_hops};  // stuck
-      }
-      if (drops.drop()) {
-        scratch.banned.push_back(best);
-        ++retries;
-        if (--attempts <= 0) {
-          return {current, hops, false, retries, fallback_hops};  // lost
-        }
-        continue;
-      }
-      if (via_fallback) ++fallback_hops;
-      current = best;
-      ++hops;
-      record(current);
-      if (faults) scratch.visited.push_back(current);
-      break;
-    }
+  if (!dead.any() && !drops.active()) {
+    return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
+                    tree_->owner_of(key), detail::NoFaults{}, nullptr,
+                    record);
   }
-  return {current, hops, false, retries, fallback_hops};
+  const detail::Faults faults{dead,    drops, scratch.banned, nullptr, 0,
+                              retry_budget_};
+  return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
+                  live_owner(key, dead), faults, &scratch.visited, record);
 }
 
 ResilientProbe ResilientCanRouter::route_into(std::uint32_t from, NodeId key,
@@ -403,7 +423,7 @@ ResilientProbe ResilientCanRouter::route_into(std::uint32_t from, NodeId key,
   out.path.push_back(from);
   out.ok = false;
   const ResilientProbe p =
-      core(from, key, dead, drops, scratch, PathRecorder{&out.path});
+      core(from, key, dead, drops, scratch, detail::PathRecorder{&out.path});
   out.ok = p.ok;
   return p;
 }
@@ -412,7 +432,7 @@ ResilientProbe ResilientCanRouter::probe(std::uint32_t from, NodeId key,
                                          const FailureSet& dead,
                                          DropRoller& drops,
                                          Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, NullRecorder{});
+  return core(from, key, dead, drops, scratch, detail::NullRecorder{});
 }
 
 }  // namespace canon

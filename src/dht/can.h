@@ -17,19 +17,25 @@
 #ifndef CANON_DHT_CAN_H
 #define CANON_DHT_CAN_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
+#include "overlay/stepper.h"
 
 namespace canon {
 
-/// The CAN zone partition for one member set (see file comment).
+/// The CAN zone partition for one member set (see file comment), stored
+/// flat: the ID-sorted member list, a CSR of zones per member (primary
+/// zone first) and a pointer-free trie. A member is addressed on the hot
+/// paths by its *slot*, its position in the member list; for a partition
+/// of a whole network (members 0..n-1) the slot of node i is i.
 class ZoneTree {
  public:
   /// Builds the partition for `members` (node indices sorted by ascending
@@ -41,9 +47,29 @@ class ZoneTree {
     int len = 0;        ///< prefix length in bits (0 = whole space)
   };
 
-  std::size_t member_count() const { return primary_leaf_.size(); }
-  bool contains(std::uint32_t node) const {
-    return primary_leaf_.contains(node);
+  /// Slot value of a node that is not a member.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  std::size_t member_count() const { return members_.size(); }
+
+  /// Every zone owned by the member at `slot`, primary first.
+  std::span<const Zone> zones_at(std::uint32_t slot) const {
+    return {zones_.data() + zone_offsets_[slot],
+            zones_.data() + zone_offsets_[slot + 1]};
+  }
+
+  /// Longest prefix match between `key` and any zone owned by the member
+  /// at `slot` (each zone's match is capped at its own length). Equals the
+  /// zone length of the key's containing zone iff the member owns the key.
+  /// The one zone-match scan every CAN and Can-Can path ranks by.
+  int match_at(std::uint32_t slot, NodeId key) const {
+    int best = 0;
+    for (const Zone& z : zones_at(slot)) {
+      const NodeId diff = (z.prefix ^ key) & mask_;
+      const int m = std::min(bits_ - static_cast<int>(std::bit_width(diff)), z.len);
+      best = std::max(best, m);
+    }
+    return best;
   }
 
   /// The primary zone of `node`: its shortest unique prefix among the
@@ -66,31 +92,42 @@ class ZoneTree {
   /// deduplicated, excluding `node` itself.
   std::vector<std::uint32_t> neighbors(std::uint32_t node) const;
 
-  /// Longest prefix match between `key` and any zone owned by `node`
-  /// (each zone's match is capped at its own length). Equals the zone
-  /// length of the key's containing zone iff node owns the key.
+  /// match_at for a member given by node index.
   int match_len(std::uint32_t node, NodeId key) const;
 
  private:
+  /// A leaf has child[0] < 0 and names its owner's node index.
   struct TrieNode {
-    int child[2] = {-1, -1};  ///< -1 on a leaf
-    std::uint32_t owner = 0;  ///< valid on leaves
-    bool is_leaf = true;
-    Zone block;
+    std::int32_t child[2] = {-1, -1};
+    std::uint32_t owner = 0;
+  };
+  /// A zone of the member at `slot`, in trie creation order.
+  struct Leaf {
+    std::uint32_t slot;
+    bool primary;
+    Zone zone;
   };
 
-  int build(std::span<const std::uint32_t> members, std::size_t lo,
-            std::size_t hi, NodeId prefix, int len);
-  int make_leaf(std::uint32_t owner, NodeId prefix, int len);
-  int leaf_containing(NodeId point) const;
-  void collect_leaf_owners(int trie_node, std::vector<std::uint32_t>& out) const;
+  std::int32_t build(std::size_t lo, std::size_t hi, NodeId prefix, int len,
+                     std::vector<Leaf>& leaves);
+  std::int32_t make_leaf(std::size_t slot, NodeId prefix, int len,
+                         std::vector<Leaf>& leaves);
+  /// The member's slot by binary search (the hot paths carry slots
+  /// instead); throws std::invalid_argument, prefixed by `who`, for a
+  /// non-member.
+  std::uint32_t checked_slot(std::uint32_t node, const char* who) const;
+  void collect_leaf_owners(std::int32_t trie_node,
+                           std::vector<std::uint32_t>& out) const;
   void block_owners(NodeId prefix, int len,
                     std::vector<std::uint32_t>& out) const;
 
   const OverlayNetwork* net_;
-  std::vector<TrieNode> trie_;
-  std::unordered_map<std::uint32_t, int> primary_leaf_;
-  std::unordered_map<std::uint32_t, std::vector<int>> leaves_of_;
+  int bits_;
+  NodeId mask_;
+  std::vector<std::uint32_t> members_;       // node indices, ID-sorted
+  std::vector<std::uint32_t> zone_offsets_;  // member_count() + 1
+  std::vector<Zone> zones_;                  // by slot, primary first
+  std::vector<TrieNode> trie_;               // root at 0
 };
 
 /// Builds the flat logarithmic-degree CAN network over all nodes.
@@ -105,13 +142,23 @@ CanNetwork build_can(const OverlayNetwork& net);
 /// the neighbor with the longest zone-prefix match with the key; a final
 /// hop to a neighbor owning the key is taken when prefix matches cannot
 /// grow (the key's zone may be a short empty-sibling block). Terminates at
-/// the owner of the key's zone.
+/// the owner of the key's zone. Follows the hot-path contract of
+/// overlay/routing.h; route() records no telemetry.
 class CanRouter {
  public:
+  /// `tree` must partition all of `net`'s nodes (build_can's tree).
   CanRouter(const OverlayNetwork& net, const ZoneTree& tree,
             const LinkTable& links);
 
   Route route(std::uint32_t from, NodeId key) const;
+  void route_into(std::uint32_t from, NodeId key, Route& out) const;
+  RouteProbe probe(std::uint32_t from, NodeId key) const;
+
+  /// One resumable hop (overlay/stepper.h): candidates that grow the
+  /// prefix match, longest match first, else the key's owner when it is a
+  /// neighbor. Candidate 0 is route()'s hop.
+  StepResult step(std::uint32_t at, NodeId key,
+                  std::span<NodeIndex> out) const;
 
  private:
   const OverlayNetwork* net_;
@@ -131,6 +178,7 @@ class CanRouter {
 /// contract of overlay/routing.h (no telemetry, shareable const state).
 class ResilientCanRouter {
  public:
+  /// `tree` must partition all of `net`'s nodes (build_can's tree).
   ResilientCanRouter(const OverlayNetwork& net, const ZoneTree& tree,
                      const LinkTable& links, int retry_budget = kRetryBudget);
 

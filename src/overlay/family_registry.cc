@@ -1,5 +1,6 @@
 #include "overlay/family_registry.h"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <memory>
@@ -110,10 +111,9 @@ FamilyRouter wrap(std::shared_ptr<const State> state) {
   return r;
 }
 
-// The Ring/Xor/Group states route through engine.run(), whose probe_batch
-// detection picks up those routers' interleaved batch kernels
-// transparently; Can/CanCan expose only route() and stay on the generic
-// full-mode core below — the registry-level scalar fallback.
+// Every state routes through engine.run(), which uses the plain router's
+// allocation-free route_into/probe and picks up an interleaved probe_batch
+// kernel transparently where the router has one (Ring/Xor/Group).
 struct RingState {
   RingRouter plain;
   ResilientRingRouter resilient;
@@ -136,6 +136,8 @@ struct XorState {
   }
 };
 
+// The CAN router and stepper share one state type: the zone partition of
+// all nodes plus the routers over the caller's link table.
 struct CanState {
   ZoneTree tree;
   CanRouter plain;
@@ -144,32 +146,23 @@ struct CanState {
       : tree(net, net.ring().members()),
         plain(net, tree, links),
         resilient(net, tree, links) {}
-  // CanRouter exposes only route(); full mode via the generic core.
   QueryStats run(const QueryEngine& engine, std::span<const Query> q,
                  std::vector<RouteProbe>* per_query) const {
-    return engine.run_batch(
-        q,
-        [this](std::uint32_t from, NodeId key, Route& out) {
-          out = plain.route(from, key);
-        },
-        nullptr, per_query);
+    return engine.run(q, plain, per_query);
   }
 };
 
+// Only the per-domain partitions and their index are built here; the
+// link table is the caller's.
 struct CanCanState {
-  CanCanNetwork network;  // rebuilt: deterministic, equal to build()'s table
+  CanCanZones zones;
   CanCanRouter plain;
   ResilientCanCanRouter resilient;
-  explicit CanCanState(const OverlayNetwork& net)
-      : network(net), plain(network), resilient(network) {}
+  CanCanState(const OverlayNetwork& net, const LinkTable& links)
+      : zones(net), plain(zones, links), resilient(zones, links) {}
   QueryStats run(const QueryEngine& engine, std::span<const Query> q,
                  std::vector<RouteProbe>* per_query) const {
-    return engine.run_batch(
-        q,
-        [this](std::uint32_t from, NodeId key, Route& out) {
-          out = plain.route(from, key);
-        },
-        nullptr, per_query);
+    return engine.run(q, plain, per_query);
   }
 };
 
@@ -200,8 +193,8 @@ FamilyRouter make_can_router(const OverlayNetwork& net,
   return wrap(std::make_shared<const CanState>(net, links));
 }
 FamilyRouter make_cancan_router(const OverlayNetwork& net,
-                                const LinkTable&) {
-  return wrap(std::make_shared<const CanCanState>(net));
+                                const LinkTable& links) {
+  return wrap(std::make_shared<const CanCanState>(net, links));
 }
 FamilyRouter make_group_router(const OverlayNetwork& net,
                                const LinkTable& links) {
@@ -214,94 +207,24 @@ FamilyRouter make_group_router(const OverlayNetwork& net,
 // Resumable one-hop versions of the CAN / Can-Can / group routing cores
 // (overlay/stepper.h documents the contract; the ring/XOR steppers live in
 // canon_overlay and their factories go straight into the table). Each
-// closure owns its auxiliary structure via shared_ptr, mirroring the
-// make_router states above.
+// closure owns its auxiliary structure via shared_ptr; the CAN families'
+// steppers hold the same state as their make_router hooks and call the
+// plain router's step(), which ranks by the walk's own zone-match scan.
 
-// CanRouter::route's loop body: candidates grow the zone-tree prefix
-// match, ranked longest-match-first; when no neighbor improves the match,
-// the key's zone may be a short empty-sibling block owned by an adjacent
-// node, so a neighbor owning the key outright is the single fallback.
 Stepper make_can_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  auto tree = std::make_shared<const ZoneTree>(net, net.ring().members());
-  const LinkTable* l = &links;
-  return [tree, l](NodeIndex at, NodeId key, std::uint64_t&,
-                   std::span<NodeIndex> out) -> StepResult {
-    if (tree->owner_of(key) == at) return {0, true, true};
-    const int cur_match = tree->match_len(at, key);
-    detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      if (!tree->contains(nb)) continue;
-      const int m = tree->match_len(nb, key);
-      if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
-    }
-    if (top.count == 0) {
-      for (const std::uint32_t nb : l->neighbors(at)) {
-        if (tree->contains(nb) && tree->owner_of(key) == nb) {
-          out[0] = nb;
-          return {1, false, false};
-        }
-      }
-      return {0, true, false};  // stuck
-    }
-    return {top.emit(out), false, false};
+  auto state = std::make_shared<const CanState>(net, links);
+  return [state](NodeIndex at, NodeId key, std::uint64_t&,
+                 std::span<NodeIndex> out) -> StepResult {
+    return state->plain.step(at, key, out);
   };
 }
 
-// CanCanRouter::route's loop body. The lookup-local word packs the stage
-// domain plus the previously visited node: the scalar core keeps a full
-// visited set to guard the XOR fallback against cycles, which cannot ride
-// in 64 bits — the immediate-backtrack guard catches the 2-cycles the
-// fallback actually produces and the simulator's hop guard bounds the
-// rest. state = (prev_node+1) << 32 | (stage_domain+1); 0 = first step.
-Stepper make_cancan_stepper(const OverlayNetwork& net, const LinkTable&) {
-  auto network = std::make_shared<const CanCanNetwork>(net);
-  return [network](NodeIndex at, NodeId key, std::uint64_t& state,
-                   std::span<NodeIndex> out) -> StepResult {
-    const OverlayNetwork& n = network->net();
-    const IdSpace& space = n.space();
-    const DomainTree& dom = n.domains();
-    int stage = state == 0
-                    ? static_cast<int>(dom.domain_chain(at).back())
-                    : static_cast<int>((state & 0xFFFFFFFFu) - 1);
-    const std::uint32_t prev =
-        state == 0 ? at : static_cast<std::uint32_t>((state >> 32) - 1);
-    // Lift the stage toward the root while this node owns the key's zone
-    // in the stage partition; lifting consumes no hop.
-    while (network->tree(stage).owner_of(key) == at) {
-      if (dom.domain(stage).parent < 0) return {0, true, true};
-      stage = dom.domain(stage).parent;
-    }
-    const ZoneTree& t = network->tree(stage);
-    const int cur_match = t.match_len(at, key);
-    detail::TopK top(static_cast<int>(out.size()));
-    for (const std::uint32_t nb : network->links().neighbors(at)) {
-      if (!t.contains(nb) || nb == prev) continue;
-      const int m = t.match_len(nb, key);
-      if (m > cur_match) top.push(static_cast<std::uint64_t>(64 - m), nb);
-    }
-    if (top.count == 0) {
-      // Empty-sibling fallback: a stage neighbor owning the key outright.
-      for (const std::uint32_t nb : network->links().neighbors(at)) {
-        if (t.contains(nb) && nb != prev && t.owner_of(key) == nb) {
-          top.push(0, nb);
-          break;
-        }
-      }
-    }
-    if (top.count == 0) {
-      // Faces the merge filter removed: stage neighbors strictly closer
-      // to the key in XOR distance.
-      const std::uint64_t cur_d = space.xor_distance(n.id(at), key);
-      for (const std::uint32_t nb : network->links().neighbors(at)) {
-        if (!t.contains(nb) || nb == prev) continue;
-        const std::uint64_t d = space.xor_distance(n.id(nb), key);
-        if (d < cur_d) top.push(d, nb);
-      }
-    }
-    if (top.count == 0) return {0, true, false};  // stuck
-    state = (static_cast<std::uint64_t>(at) + 1) << 32 |
-            static_cast<std::uint64_t>(stage + 1);
-    return {top.emit(out), false, false};
+Stepper make_cancan_stepper(const OverlayNetwork& net,
+                            const LinkTable& links) {
+  auto state = std::make_shared<const CanCanState>(net, links);
+  return [state](NodeIndex at, NodeId key, std::uint64_t& word,
+                 std::span<NodeIndex> out) -> StepResult {
+    return state->plain.step(at, key, word, out);
   };
 }
 
@@ -322,6 +245,7 @@ Stepper make_group_stepper(const OverlayNetwork& net, const LinkTable& links) {
         groups->groups()[static_cast<std::size_t>(target_group)].gid;
     const std::uint32_t target = groups->responsible(key);
     if (at == target) return {0, true, true};
+    if (out.empty()) return {0, false, false};  // no candidates requested
     const NodeId cur_gid = groups->gid_of_node(at);
     if (cur_gid == target_gid) {
       if (l->has_link(at, target)) {
@@ -342,7 +266,8 @@ Stepper make_group_stepper(const OverlayNetwork& net, const LinkTable& links) {
     std::uint64_t icov[kMaxStepCandidates];
     NodeIndex node[kMaxStepCandidates];
     int count = 0;
-    const int cap = static_cast<int>(out.size());
+    const int cap = static_cast<int>(
+        std::min<std::size_t>(out.size(), kMaxStepCandidates));
     for (const std::uint32_t nb : l->neighbors(at)) {
       const std::uint64_t g =
           groups->group_distance(cur_gid, groups->gid_of_node(nb));

@@ -47,7 +47,7 @@ namespace canon::registry {
 
 /// A built family's routers, wrapped for batch execution. Copyable; the
 /// closures share ownership of the concrete router plus whatever auxiliary
-/// structure it needs (ZoneTree, CanCanNetwork, GroupedOverlay), while
+/// structure it needs (ZoneTree, CanCanZones, GroupedOverlay), while
 /// `net` and `links` passed to make_router are borrowed and must outlive
 /// the FamilyRouter.
 struct FamilyRouter {

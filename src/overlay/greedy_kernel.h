@@ -19,8 +19,12 @@
 // * GreedyLane   — one lane of detail::interleaved_probe_batch;
 // * the steppers — feed the same rank into detail::TopK (stepper.cc).
 //
-// Internal header: included by routing.cc, resilient_routing.cc and
-// stepper.cc only.
+// The CAN and Can-Can walks (dht/can.cc, canon/cancan.cc) rank by their
+// zone-match scan instead of a metric, but share the NoFaults/Faults
+// policies and the recorders below.
+//
+// Internal header: included by routing.cc, resilient_routing.cc,
+// stepper.cc, dht/can.cc and canon/cancan.cc only.
 #ifndef CANON_OVERLAY_GREEDY_KERNEL_H
 #define CANON_OVERLAY_GREEDY_KERNEL_H
 

@@ -200,7 +200,8 @@ class QueryEngine {
       std::function<void(std::span<const Query>, std::span<RouteProbe>)>;
 
   /// Runs the batch through any router exposing the route_into/probe hot
-  /// paths (RingRouter, XorRouter, GroupRouter). When `per_query` is given
+  /// paths (RingRouter, XorRouter, GroupRouter, CanRouter, CanCanRouter).
+  /// When `per_query` is given
   /// it receives one RouteProbe per query, in workload order. Routers
   /// exposing probe_batch (the memory-level-parallel kernels) are picked
   /// up transparently: probe mode then routes whole shards through the
@@ -269,13 +270,12 @@ class QueryEngine {
         per_query);
   }
 
-  /// The generic core. Probe mode (no path recorded at all) is used iff
-  /// `probe` is non-null and nothing needs paths: no cost fn, no level
-  /// tracking, no sink. Routers exposing only route() fit via
-  ///   [&](auto f, auto k, Route& out) { out = router.route(f, k); }
-  /// with a null probe. In probe mode a non-null `probe_batch` handles
-  /// whole shards at once (the interleaved kernels); it must write
-  /// out[i] == probe(queries[i].from, queries[i].key) for every i.
+  /// The generic core behind run() and run_lookahead(). Probe mode (no
+  /// path recorded at all) is used iff `probe` is non-null and nothing
+  /// needs paths: no cost fn, no level tracking, no sink. In probe mode a
+  /// non-null `probe_batch` handles whole shards at once (the interleaved
+  /// kernels); it must write out[i] == probe(queries[i].from,
+  /// queries[i].key) for every i.
   QueryStats run_batch(std::span<const Query> queries,
                        const RouteIntoFn& route_into, const ProbeFn& probe,
                        std::vector<RouteProbe>* per_query = nullptr,

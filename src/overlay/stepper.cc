@@ -17,7 +17,7 @@ Stepper make_greedy_stepper(const OverlayNetwork& net,
                                 std::span<NodeIndex> out) -> StepResult {
     const Metric metric(*n);
     const std::uint64_t remaining = metric.rank(n->id(at), key);
-    detail::TopK top(static_cast<int>(out.size()));
+    detail::TopK top(out.size());
     for (const NodeIndex nb : l->neighbors(at)) {
       const std::uint64_t r = metric.rank(n->id(nb), key);
       if (r < remaining) top.push(r, nb);

@@ -19,7 +19,9 @@
 //   α-parallel speculative probes.
 // * done=true means the lookup terminates at `at` (count is then 0):
 //   ok tells whether `at` is the correct destination. count==0 with
-//   done=false never happens — a node with no way forward is terminal.
+//   done=false never happens — a node with no way forward is terminal —
+//   except for an empty `out`, which asks for no candidates: the stepper
+//   then writes nothing and returns count 0.
 // * `state` is a small per-lookup word threaded through the lookup's
 //   steps. 0 is the start value for every family; most families ignore it
 //   (the ranking is a pure function of (at, key)). Can-Can uses it for
@@ -35,10 +37,14 @@
 // (overlay/greedy_kernel.h) — the same rank and tie rule as every other
 // path of those families. The CAN/Can-Can/group steppers own heavier
 // auxiliary structures and are built via the family registry's
-// make_stepper hook (overlay/family_registry.h).
+// make_stepper hook (overlay/family_registry.h); the CAN and Can-Can ones
+// call CanRouter::step / CanCanRouter::step, which share their walks'
+// zone-match scan.
 #ifndef CANON_OVERLAY_STEPPER_H
 #define CANON_OVERLAY_STEPPER_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -89,12 +95,14 @@ struct TopK {
   int count = 0;
   int cap;
 
-  explicit TopK(int capacity)
-      : cap(capacity < kMaxStepCandidates ? capacity : kMaxStepCandidates) {}
+  explicit TopK(std::size_t capacity)
+      : cap(static_cast<int>(std::min<std::size_t>(
+            capacity, static_cast<std::size_t>(kMaxStepCandidates)))) {}
 
   /// Inserts (m, v) keeping metric ascending; equal metrics keep
   /// insertion order.
   void push(std::uint64_t m, NodeIndex v) {
+    if (cap == 0) return;
     int i = count < cap ? count : cap - 1;
     if (count < cap) {
       ++count;

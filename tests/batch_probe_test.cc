@@ -145,8 +145,9 @@ TEST(BatchProbe, WidthKnobClampsAndRestores) {
 // ---------------------------------------------------------------------------
 // Registry sweep: every family, every width, three seeds. Ring/Xor/Group
 // families hit their interleaved kernels through the engine's probe_batch
-// detection; Can/CanCan exercise the registry-level scalar path — either
-// way the width knob must never move a single per-query result.
+// detection; Can/CanCan have no interleaved kernel and run their scalar
+// probe() per query — either way the width knob must never move a single
+// per-query result.
 
 TEST(BatchProbe, AllFamiliesMatchScalarAtEveryWidth) {
   WidthGuard guard;

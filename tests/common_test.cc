@@ -83,6 +83,39 @@ TEST(Bits, FloorCeilLog2) {
   EXPECT_EQ(ceil_log2(1025), 11);
 }
 
+// Both stay usable in constant expressions.
+static_assert(floor_log2(0) == 0 && floor_log2(std::uint64_t{1} << 40) == 40);
+static_assert(ceil_log2(0) == 0 && ceil_log2((std::uint64_t{1} << 40) + 1) == 41);
+
+TEST(Bits, Log2AgreesWithShiftLoopAtEveryPowerOfTwo) {
+  // The shift-loop definitions the bit_width forms replace.
+  const auto floor_ref = [](std::uint64_t x) {
+    int r = 0;
+    while (x >>= 1) ++r;
+    return r;
+  };
+  const auto ceil_ref = [&](std::uint64_t x) {
+    return x <= 1 ? 0 : floor_ref(x - 1) + 1;
+  };
+  std::vector<std::uint64_t> xs = {0, 1, std::uint64_t{1} << 63,
+                                   ~std::uint64_t{0}};
+  for (int k = 1; k < 64; ++k) {
+    xs.push_back(std::uint64_t{1} << k);
+    xs.push_back((std::uint64_t{1} << k) - 1);
+    xs.push_back((std::uint64_t{1} << k) + 1);
+  }
+  for (const std::uint64_t x : xs) {
+    EXPECT_EQ(floor_log2(x), floor_ref(x)) << x;
+    EXPECT_EQ(ceil_log2(x), ceil_ref(x)) << x;
+  }
+  EXPECT_EQ(floor_log2(0), 0);
+  EXPECT_EQ(ceil_log2(0), 0);
+  EXPECT_EQ(floor_log2(std::uint64_t{1} << 63), 63);
+  EXPECT_EQ(ceil_log2(std::uint64_t{1} << 63), 63);
+  EXPECT_EQ(floor_log2(~std::uint64_t{0}), 63);
+  EXPECT_EQ(ceil_log2(~std::uint64_t{0}), 64);
+}
+
 TEST(IdToHex, FormatsFixedWidth) {
   EXPECT_EQ(id_to_hex(0x1A, 8), "0x1a");
   EXPECT_EQ(id_to_hex(0x1A, 16), "0x001a");

@@ -1,18 +1,22 @@
 // Edge-case coverage across modules: degenerate populations, extreme ID
-// widths, grouped overlays with one group, CAN multi-zone ownership, and
+// widths, grouped overlays with one group, CAN multi-zone ownership, the
+// CAN families' paths on degenerate hierarchies, empty stepper spans, and
 // store behavior at boundaries.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
 
+#include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/proximity.h"
 #include "common/rng.h"
 #include "dht/can.h"
 #include "dht/chord.h"
 #include "overlay/event_sim.h"
+#include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "overlay/metrics.h"
 #include "overlay/population.h"
@@ -236,6 +240,149 @@ TEST(EdgeCases, RaggedHierarchyRoutesFine) {
     const NodeId key = net.space().wrap(rng());
     const Route r = router.route(from, key);
     EXPECT_TRUE(r.ok);
+  }
+}
+
+/// A population over a 20-bit space whose node i sits at `path(i)`.
+OverlayNetwork shaped_net(std::size_t n, std::uint64_t seed,
+                          const std::function<DomainPath(std::size_t)>& path) {
+  Rng rng(seed);
+  const auto ids = sample_unique_ids(n, IdSpace(20), rng);
+  std::vector<OverlayNode> nodes;
+  for (std::size_t i = 0; i < n; ++i) nodes.push_back({ids[i], path(i), -1});
+  return OverlayNetwork(IdSpace(20), std::move(nodes));
+}
+
+/// Random and degenerate hierarchies: one and two nodes, a single leaf
+/// domain, all-singleton leaves, ragged depths and a random Zipf shape.
+std::vector<std::pair<const char*, OverlayNetwork>> can_shapes() {
+  const auto u16 = [](std::size_t v) { return static_cast<std::uint16_t>(v); };
+  std::vector<std::pair<const char*, OverlayNetwork>> shapes;
+  shapes.emplace_back("one node", shaped_net(1, 1, [](std::size_t) {
+                        return DomainPath{1, 2};
+                      }));
+  shapes.emplace_back("two nodes, one leaf", shaped_net(2, 2, [](std::size_t) {
+                        return DomainPath{0, 3};
+                      }));
+  shapes.emplace_back("two nodes, two leaves",
+                      shaped_net(2, 3, [&](std::size_t i) {
+                        return DomainPath({u16(i)});
+                      }));
+  shapes.emplace_back("single leaf domain", shaped_net(96, 4, [](std::size_t) {
+                        return DomainPath{2, 1, 0};
+                      }));
+  shapes.emplace_back("all-singleton leaves",
+                      shaped_net(96, 5, [&](std::size_t i) {
+                        return DomainPath({u16(i % 7), u16(i)});
+                      }));
+  shapes.emplace_back("ragged depths", shaped_net(120, 6, [&](std::size_t i) {
+                        if (i % 3 == 0) return DomainPath{};
+                        if (i % 3 == 1) return DomainPath({u16(i % 4)});
+                        return DomainPath({u16(i % 4), u16(i % 2), 0});
+                      }));
+  PopulationSpec spec;
+  spec.node_count = 400;
+  spec.hierarchy.levels = 4;
+  spec.hierarchy.fanout = 5;
+  Rng rng(7);
+  shapes.emplace_back("random zipf", make_population(spec, rng));
+  return shapes;
+}
+
+TEST(EdgeCases, CanFamiliesRouteRouteIntoAndProbeAgree) {
+  // route(), route_into() (reusing one Route), probe() and the resilient
+  // router on an empty failure set walk the same path for CAN and Can-Can.
+  for (const auto& [shape, net] : can_shapes()) {
+    const CanNetwork can = build_can(net);
+    const CanRouter can_router(net, can.tree, can.links);
+    const ResilientCanRouter can_resilient(net, can.tree, can.links);
+    const CanCanNetwork cancan(net);
+    const CanCanRouter cancan_router(cancan);
+    const ResilientCanCanRouter cancan_resilient(cancan);
+    const FailureSet none(net.size());
+    DropRoller no_drops(0.0, Rng(1));
+    ResilientCanRouter::Scratch can_scratch;
+    ResilientCanCanRouter::Scratch cancan_scratch;
+    Route into;
+    Route resilient_path;
+    Rng rng(11);
+    for (int t = 0; t < 200; ++t) {
+      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+      const NodeId key = net.space().wrap(rng());
+
+      const Route r = can_router.route(from, key);
+      EXPECT_TRUE(r.ok) << shape;
+      EXPECT_EQ(r.terminal(), can.tree.owner_of(key)) << shape;
+      can_router.route_into(from, key, into);
+      EXPECT_EQ(into.path, r.path) << shape;
+      EXPECT_EQ(into.ok, r.ok) << shape;
+      EXPECT_EQ(can_router.probe(from, key),
+                (RouteProbe{r.terminal(), r.hops(), r.ok}))
+          << shape;
+      const ResilientProbe rp = can_resilient.route_into(
+          from, key, none, no_drops, can_scratch, resilient_path);
+      EXPECT_EQ(resilient_path.path, r.path) << shape;
+      EXPECT_EQ(rp.to_probe(), can_router.probe(from, key)) << shape;
+
+      const Route c = cancan_router.route(from, key);
+      if (c.ok) {
+        EXPECT_EQ(c.terminal(), cancan.responsible(key)) << shape;
+      }
+      cancan_router.route_into(from, key, into);
+      EXPECT_EQ(into.path, c.path) << shape;
+      EXPECT_EQ(into.ok, c.ok) << shape;
+      EXPECT_EQ(cancan_router.probe(from, key),
+                (RouteProbe{c.terminal(), c.hops(), c.ok}))
+          << shape;
+      const ResilientProbe cp = cancan_resilient.route_into(
+          from, key, none, no_drops, cancan_scratch, resilient_path);
+      EXPECT_EQ(resilient_path.path, c.path) << shape;
+      EXPECT_EQ(cp.to_probe(), cancan_router.probe(from, key)) << shape;
+    }
+  }
+}
+
+TEST(EdgeCases, CanStepperCandidateZeroWalksTheRoute) {
+  // Always taking candidate 0 reproduces CanRouter's path hop for hop.
+  for (const auto& [shape, net] : can_shapes()) {
+    const CanNetwork can = build_can(net);
+    const CanRouter router(net, can.tree, can.links);
+    Rng rng(12);
+    std::array<NodeIndex, 3> cand{};
+    for (int t = 0; t < 100; ++t) {
+      const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+      const NodeId key = net.space().wrap(rng());
+      std::vector<NodeIndex> walked = {from};
+      for (StepResult s = router.step(from, key, cand); !s.done;
+           s = router.step(walked.back(), key, cand)) {
+        ASSERT_GT(s.count, 0) << shape;
+        walked.push_back(cand[0]);
+      }
+      EXPECT_EQ(walked, router.route(from, key).path) << shape;
+    }
+  }
+}
+
+TEST(EdgeCases, EveryRegistryStepperAcceptsAnEmptySpan) {
+  // An empty candidate span asks for nothing: no family may write (or
+  // read) past it, and every one reports zero candidates.
+  PopulationSpec spec;
+  spec.node_count = 300;
+  spec.hierarchy.levels = 3;
+  spec.hierarchy.fanout = 4;
+  Rng rng(1106);
+  const auto net = make_population(spec, rng);
+  for (const auto& entry : registry::families()) {
+    const LinkTable links = registry::build_family(net, entry.name, 5);
+    const Stepper step = entry.make_stepper(net, links);
+    Rng qrng(13);
+    for (int t = 0; t < 50; ++t) {
+      const auto at = static_cast<NodeIndex>(qrng.uniform(net.size()));
+      const NodeId key = net.space().wrap(qrng());
+      std::uint64_t state = 0;
+      EXPECT_EQ(step(at, key, state, std::span<NodeIndex>{}).count, 0)
+          << entry.name;
+    }
   }
 }
 

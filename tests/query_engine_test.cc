@@ -18,6 +18,7 @@
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
 #include "canon/proximity.h"
+#include "dht/can.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "overlay/population.h"
@@ -161,23 +162,45 @@ TEST(QueryEngine, GroupRouterWithCostIsThreadInvariant) {
   });
 }
 
-TEST(QueryEngine, GenericRouteOnlyRouterIsThreadInvariant) {
-  // CanCanRouter exposes only route(); the generic run_batch entry point
-  // (full mode, no probe) must still be deterministic — and its atomic
-  // stuck/fallback diagnostics race-free — under fan-out.
+TEST(QueryEngine, CanFamiliesProbeModeIsThreadAndGrainInvariant) {
+  // CanRouter and CanCanRouter run through probe mode (nothing needs
+  // paths); every (threads, grain) pair must reproduce the serial
+  // default-grain batch, and full mode (level tracking forces route_into)
+  // must agree with it query for query.
+  struct GrainGuard {
+    ~GrainGuard() { set_query_grain(0); }
+  } grain_guard;
+  ThreadGuard thread_guard;
   const auto net = make_net();
+  const CanNetwork can = build_can(net);
+  const CanRouter can_router(net, can.tree, can.links);
   const CanCanNetwork cancan(net);
-  const CanCanRouter router(cancan);
-  const QueryEngine engine(net);
+  const CanCanRouter cancan_router(cancan);
   const auto queries = uniform_workload(net, 1500, Rng(5));
-  expect_thread_invariant([&](std::vector<RouteProbe>* pq) {
-    return engine.run_batch(
-        queries,
-        [&router](std::uint32_t from, NodeId key, Route& out) {
-          out = router.route(from, key);
-        },
-        nullptr, pq);
-  });
+  const auto check = [&](const auto& router, const char* name) {
+    QueryEngine engine(net);
+    set_parallel_threads(1);
+    set_query_grain(0);
+    std::vector<RouteProbe> ref_pq;
+    const QueryStats ref = engine.run(queries, router, &ref_pq);
+    EXPECT_GT(ref.ok(), 0u) << name;
+    for (const std::size_t grain : {1u, 7u, 256u, 4096u}) {
+      for (const int threads : kThreadCounts) {
+        set_query_grain(grain);
+        set_parallel_threads(threads);
+        std::vector<RouteProbe> pq;
+        expect_stats_identical(ref, engine.run(queries, router, &pq));
+        EXPECT_EQ(ref_pq, pq) << name << " grain=" << grain
+                              << " threads=" << threads;
+      }
+    }
+    engine.set_level_tracking(true);
+    std::vector<RouteProbe> full_pq;
+    engine.run(queries, router, &full_pq);
+    EXPECT_EQ(ref_pq, full_pq) << name;
+  };
+  check(can_router, "can");
+  check(cancan_router, "cancan");
 }
 
 TEST(RouteInto, MatchesRouteHopForHopAndReusesCapacity) {
