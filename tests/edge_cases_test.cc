@@ -1,7 +1,7 @@
 // Edge-case coverage across modules: degenerate populations, extreme ID
 // widths, grouped overlays with one group, CAN multi-zone ownership, the
-// CAN families' paths on degenerate hierarchies, empty stepper spans, and
-// store behavior at boundaries.
+// CAN and group families' paths on degenerate hierarchies, empty stepper
+// spans, and store behavior at boundaries.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -359,6 +359,66 @@ TEST(EdgeCases, CanStepperCandidateZeroWalksTheRoute) {
         walked.push_back(cand[0]);
       }
       EXPECT_EQ(walked, router.route(from, key).path) << shape;
+    }
+  }
+}
+
+TEST(EdgeCases, GroupFamiliesPathsAgree) {
+  // route(), route_into() (reusing one Route), probe(), probe_batch(), the
+  // resilient router on an empty failure set and a walk that always takes
+  // the registry stepper's candidate 0 agree for both group families.
+  for (const auto& [shape, net] : can_shapes()) {
+    const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+    for (const char* family : {"chord_prox", "crescendo_prox"}) {
+      const LinkTable links = registry::build_family(net, family, 13);
+      const GroupRouter router(net, groups, links);
+      const ResilientGroupRouter resilient(net, groups, links);
+      const Stepper step = registry::family(family).make_stepper(net, links);
+      const FailureSet none(net.size());
+      DropRoller no_drops(0.0, Rng(1));
+      ResilientGroupRouter::Scratch scratch;
+      Route into;
+      Route resilient_path;
+      std::vector<Query> queries;
+      std::array<NodeIndex, 3> cand{};
+      Rng rng(14);
+      for (int t = 0; t < 200; ++t) {
+        const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
+        const NodeId key = net.space().wrap(rng());
+        queries.push_back({from, key});
+
+        const Route r = router.route(from, key);
+        EXPECT_TRUE(r.ok) << shape << " " << family;
+        EXPECT_EQ(r.terminal(), groups.responsible(key))
+            << shape << " " << family;
+        router.route_into(from, key, into);
+        EXPECT_EQ(into.path, r.path) << shape << " " << family;
+        EXPECT_EQ(into.ok, r.ok) << shape << " " << family;
+        const RouteProbe probe = router.probe(from, key);
+        EXPECT_EQ(probe, (RouteProbe{r.terminal(), r.hops(), r.ok}))
+            << shape << " " << family;
+        const ResilientProbe rp = resilient.route_into(
+            from, key, none, no_drops, scratch, resilient_path);
+        EXPECT_EQ(resilient_path.path, r.path) << shape << " " << family;
+        EXPECT_EQ(rp.to_probe(), probe) << shape << " " << family;
+
+        std::vector<NodeIndex> walked = {from};
+        std::uint64_t state = 0;
+        StepResult s = step(from, key, state, cand);
+        for (; !s.done && walked.size() <= r.path.size();
+             s = step(walked.back(), key, state, cand)) {
+          ASSERT_GT(s.count, 0) << shape << " " << family;
+          walked.push_back(cand[0]);
+        }
+        EXPECT_EQ(walked, r.path) << shape << " " << family;
+        EXPECT_EQ(s.ok, r.ok) << shape << " " << family;
+      }
+      std::vector<RouteProbe> batch(queries.size());
+      router.probe_batch(queries, batch);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(batch[i], router.probe(queries[i].from, queries[i].key))
+            << shape << " " << family << " " << i;
+      }
     }
   }
 }

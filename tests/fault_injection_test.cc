@@ -11,10 +11,11 @@
 //   5. Drop-retry: transient drops cost retries, not correctness, within
 //      the per-hop retry budget.
 //   6. Golden digests: the exact healthy and faulty outcomes and α=4
-//      stepper rankings of the nine ring/XOR families and the two CAN
-//      families are pinned, so a rewrite of the greedy kernels or the zone
-//      index cannot silently change a terminal, a hop count, a retry tally
-//      or a runner-up's rank.
+//      stepper rankings of the nine ring/XOR families, the two CAN
+//      families and the two group families are pinned, as are the
+//      Symphony lookahead outcomes, so a rewrite of the greedy kernels or
+//      the zone index cannot silently change a terminal, a hop count, a
+//      retry tally or a runner-up's rank.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -29,6 +30,7 @@
 #include "overlay/family_registry.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
+#include "overlay/routing.h"
 #include "telemetry/journal.h"
 
 namespace canon {
@@ -234,6 +236,7 @@ struct GoldenDigests {
   const char* healthy;  ///< per-query (terminal, hops, ok) of a plain batch
   const char* faulty;   ///< per-query (terminal, hops, ok) + retry tallies
   const char* stepper;  ///< α=4 candidate lists of 200 (node, key) pairs
+  bool falls_back = true;  ///< the faulty batch takes fallback hops
 };
 
 /// Digests `family`'s healthy batch, faulty batch (10% crashes, 1% drops)
@@ -268,7 +271,11 @@ void expect_golden(const GoldenDigests& golden) {
   faulty.add(st.retries);
   faulty.add(st.fallback_hops);
   EXPECT_GT(st.retries, 0u) << golden.family;
-  EXPECT_GT(st.fallback_hops, 0u) << golden.family;
+  if (golden.falls_back) {
+    EXPECT_GT(st.fallback_hops, 0u) << golden.family;
+  } else {
+    EXPECT_EQ(st.fallback_hops, 0u) << golden.family;
+  }
   EXPECT_EQ(faulty.hex(), golden.faulty) << golden.family;
 
   Digest ranked;
@@ -319,6 +326,38 @@ TEST(FaultInjection, GoldenDigestsOfCanFamilies) {
        "8d78566f8361b3b3"},
   }};
   for (const auto& golden : kGolden) expect_golden(golden);
+}
+
+TEST(FaultInjection, GoldenDigestsOfGroupFamilies) {
+  // Greedy on group distance never lacks a live candidate that a sidestep
+  // could find, so these families take no fallback hops.
+  constexpr std::array<GoldenDigests, 2> kGolden = {{
+      {"chord_prox", "ba6c4d82272fc50a", "bde1bfe7b676b29b",
+       "a161769a1885d8ee", false},
+      {"crescendo_prox", "27684bb2e1efea97", "75fcf9b0c0bf83ef",
+       "caee9adb7d9a86f3", false},
+  }};
+  for (const auto& golden : kGolden) expect_golden(golden);
+}
+
+TEST(FaultInjection, GoldenDigestsOfLookahead) {
+  // Per-query (terminal, hops, ok) of probe_lookahead at 512 nodes.
+  const auto net = make_net(512);
+  const auto queries = uniform_workload(net, 600, Rng(kSeed).fork(12));
+  for (const auto& [family, golden] :
+       {std::pair{"symphony", "06229b33ea02c483"},
+        std::pair{"cacophony", "ad13cca22f30e461"}}) {
+    const LinkTable links = registry::build_family(net, family, kSeed);
+    const RingRouter router(net, links);
+    Digest d;
+    for (const Query& q : queries) {
+      const RouteProbe p = router.probe_lookahead(q.from, q.key);
+      d.add(p.terminal);
+      d.add(static_cast<std::uint64_t>(p.hops));
+      d.add(p.ok);
+    }
+    EXPECT_EQ(d.hex(), golden) << family;
+  }
 }
 
 }  // namespace

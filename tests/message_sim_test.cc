@@ -105,8 +105,8 @@ TEST(MessageSim, Alpha1MatchesGreedyRouterExactly) {
 TEST(MessageSim, RegistryStepperMatchesFamilyHops) {
   // The registry's make_stepper hook must reproduce the family's route
   // choice (candidate 0 = the greedy next hop): every ring and XOR family,
-  // and CAN, driven through its registry stepper equals its registry
-  // router's per-query outcome hop-for-hop.
+  // CAN and both group families, driven through its registry stepper,
+  // equal their registry router's per-query outcome hop-for-hop.
   const auto net = small_net(256, 3, 2002);
   const Workload w = make_workload(net, 150, 11);
   std::vector<Query> queries;
@@ -116,8 +116,8 @@ TEST(MessageSim, RegistryStepperMatchesFamilyHops) {
   const QueryEngine engine(net);
   for (const char* name :
        {"chord", "symphony", "nondet_chord", "kademlia", "crescendo",
-        "clique_crescendo", "cacophony", "nondet_crescendo", "kandy",
-        "can"}) {
+        "clique_crescendo", "cacophony", "nondet_crescendo", "kandy", "can",
+        "chord_prox", "crescendo_prox"}) {
     const auto& entry = registry::family(name);
     const auto links = registry::build_family(net, name, 2002);
     std::vector<RouteProbe> expected;
