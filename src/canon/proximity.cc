@@ -9,6 +9,7 @@
 #include "common/prefetch.h"
 #include "dht/chord.h"
 #include "overlay/batch_probe.h"
+#include "overlay/greedy_kernel.h"
 
 namespace canon {
 
@@ -107,11 +108,9 @@ std::uint32_t pick_nearest(const std::vector<std::uint32_t>& members,
 /// non-empty group at group distance >= 2^k, capped (strictly) at
 /// `group_limit` group-distance (condition (b) at group granularity; pass
 /// kNoLimit for flat Chord Prox). Endpoints are latency-sampled.
-void add_group_links(const OverlayNetwork& /*net*/,
-                     const GroupedOverlay& groups,
-                     std::uint32_t m, std::uint64_t group_limit,
-                     const HopCost& latency, const ProximityConfig& cfg,
-                     Rng& rng, LinkTable& out) {
+void add_group_links(const GroupedOverlay& groups, std::uint32_t m,
+                     std::uint64_t group_limit, const HopCost& latency,
+                     const ProximityConfig& cfg, Rng& rng, LinkTable& out) {
   const int T = groups.prefix_bits();
   const NodeId g = groups.gid_of_node(m);
   for (int k = 0; k < T; ++k) {
@@ -151,7 +150,7 @@ LinkTable build_chord_prox(const OverlayNetwork& net,
       const auto m = static_cast<std::uint32_t>(i);
       Rng node_rng = base.fork(m);
       add_clique_links(groups, m, out);
-      add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, out);
+      add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, out);
     }
   });
   out.finalize(net.ids());
@@ -171,7 +170,7 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
     const int leaf = static_cast<int>(chain.size()) - 1;
     if (leaf == 0) {
       // Flat population: the whole structure is group-based.
-      add_group_links(net, groups, m, kNoLimit, latency, cfg, node_rng, out);
+      add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, out);
       return;
     }
     // Normal Crescendo inside the leaf and at every merge except the root.
@@ -197,7 +196,7 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                           groups.gid_of_node(succ));
       if (group_limit == 0) return;  // child successor shares the group
     }
-    add_group_links(net, groups, m, group_limit, latency, cfg, node_rng, out);
+    add_group_links(groups, m, group_limit, latency, cfg, node_rng, out);
   };
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
@@ -212,107 +211,165 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
   return out;
 }
 
-GroupRouter::GroupRouter(const OverlayNetwork& net,
-                         const GroupedOverlay& groups, const LinkTable& links)
-    : net_(&net),
-      groups_(&groups),
-      links_(&links),
-      max_hops_(hop_guard(net)) {
-  require_routable(net, links, "GroupRouter");
-}
-
 namespace {
 
-// Recorder-policy core shared by route()/route_into()/probe(), mirroring
-// the pattern in overlay/routing.cc: the recorder appends nodes entered
-// after `from` (or is a no-op for probe), and the core itself touches no
-// telemetry and no mutable state.
-template <typename Recorder>
-RouteProbe group_core(const OverlayNetwork& net, const GroupedOverlay& groups,
-                      const LinkTable& links, int max_hops, std::uint32_t from,
-                      NodeId key, Recorder&& record) {
-  const IdSpace& space = net.space();
-  const int target_group = groups.responsible_group(key);
-  const NodeId target_gid =
-      groups.groups()[static_cast<std::size_t>(target_group)].gid;
-  const std::uint32_t target = groups.responsible(key);
+/// A hop's progress from the current node in the group walk's order: the
+/// group distance it covers, then the ID distance it covers, both the more
+/// the better. So `a < b` means a ranks before b, and a hop is progress iff
+/// it ranks before staying put, the rank {0, 0}.
+struct GroupRank {
+  std::uint64_t groups = 0;
+  std::uint64_t ids = 0;
 
-  std::uint32_t current = from;
-  int hops = 0;
-  for (int step = 0; step < max_hops; ++step) {
-    if (current == target) {
-      return {current, hops, true};
-    }
-    const NodeId cur_gid = groups.gid_of_node(current);
-    if (cur_gid == target_gid) {
-      // Final intra-group hop over the dense group network.
-      if (links.has_link(current, target)) {
-        record(target);
-        return {target, hops + 1, true};
-      }
-      return {current, hops, false};
-    }
-    // Greedy on group distance, never overshooting the target group; ties
-    // broken by clockwise ID progress toward the key.
-    const std::uint64_t remaining_groups =
-        groups.group_distance(cur_gid, target_gid);
-    const std::uint64_t remaining_ids =
-        space.ring_distance(net.id(current), key);
-    std::uint32_t best = current;
-    std::uint64_t best_gcov = 0;
-    std::uint64_t best_icov = 0;
-    for (const std::uint32_t nb : links.neighbors(current)) {
-      const std::uint64_t gcov =
-          groups.group_distance(cur_gid, groups.gid_of_node(nb));
-      if (gcov > remaining_groups) continue;  // overshoots the target group
-      const std::uint64_t icov =
-          space.ring_distance(net.id(current), net.id(nb));
-      if (gcov == 0 && icov > remaining_ids) continue;
-      if (gcov > best_gcov || (gcov == best_gcov && icov > best_icov)) {
-        best_gcov = gcov;
-        best_icov = icov;
-        best = nb;
-      }
-    }
-    if (best == current) {
-      return {current, hops, false};
-    }
-    current = best;
-    ++hops;
-    record(current);
+  friend bool operator<(const GroupRank& a, const GroupRank& b) {
+    return a.groups != b.groups ? a.groups > b.groups : a.ids > b.ids;
   }
-  return {current, hops, false};
+};
+
+/// The greedy order of the group walk (§3.6 phase 1) at one node outside
+/// the target group. The ID term is progress from the current node, not the
+/// distance left to the key: a hop into the target group may land past the
+/// key, and it still ranks by how far it goes.
+struct GroupOrder {
+  const OverlayNetwork& net;
+  const GroupedOverlay& groups;
+  std::uint64_t mask;  // of the ID space
+  NodeId cur_id;
+  NodeId cur_gid;
+  std::uint64_t remaining_groups;
+  std::uint64_t remaining_ids;
+
+  GroupOrder(const OverlayNetwork& n, const GroupedOverlay& g, NodeId id,
+             NodeId target_gid, NodeId key)
+      : net(n),
+        groups(g),
+        mask(n.space().mask()),
+        cur_id(id),
+        cur_gid(g.gid_of_key(id)),
+        remaining_groups(g.group_distance(cur_gid, target_gid)),
+        remaining_ids((key - id) & mask) {}
+
+  /// The rank of a hop to the node with ID `id`: staying put when the hop
+  /// overshoots the target group, or stays in the current group and
+  /// overshoots the key.
+  GroupRank rank(NodeId id) const {
+    const std::uint64_t gcov =
+        groups.group_distance(cur_gid, groups.gid_of_key(id));
+    if (gcov > remaining_groups) return {};
+    const std::uint64_t icov = (id - cur_id) & mask;
+    if (gcov == 0 && icov > remaining_ids) return {};
+    return {gcov, icov};
+  }
+
+  /// Calls visit(j, rank) for every candidate j of one CSR row, reading its
+  /// id from the row's inline ids when the table captured them (`ids`
+  /// non-null), else from the overlay.
+  template <typename Visit>
+  void scan(std::span<const NodeIndex> row, const NodeId* ids,
+            Visit&& visit) const {
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      visit(j, rank(ids ? ids[j] : net.id(row[j])));
+    }
+  }
+
+  /// Index of the strict, first-best progress in the row, or
+  /// detail::kNoWinner. `keep(j)` is asked only of a candidate that would
+  /// become the new best, and may veto it.
+  template <typename Keep>
+  std::size_t argbest(std::span<const NodeIndex> row, const NodeId* ids,
+                      Keep&& keep) const {
+    std::size_t best = detail::kNoWinner;
+    GroupRank best_rank;
+    scan(row, ids, [&](std::size_t j, const GroupRank& r) {
+      if (r < best_rank && keep(j)) {
+        best = j;
+        best_rank = r;
+      }
+    });
+    return best;
+  }
+};
+
+/// The one group walk behind GroupRouter (NoFaults) and ResilientGroupRouter
+/// (Faults): greedy in GroupOrder into `target`'s group, then one hop over
+/// that group's clique to `target` (the key's responsible node, or its live
+/// stand-in under Faults). Under Faults it vetoes dead and banned
+/// candidates and retries dropped forwards; the clique hop has a single
+/// receiver, so it retransmits instead of banning it.
+template <typename FaultPolicy, typename Recorder>
+ResilientProbe group_walk(const OverlayNetwork& net,
+                          const GroupedOverlay& groups, const LinkTable& links,
+                          int max_hops, NodeIndex from, NodeId key,
+                          NodeIndex target, const FaultPolicy& faults,
+                          Recorder&& record) {
+  constexpr bool kFaults = FaultPolicy::kActive;
+  const NodeId target_gid = groups.gid_of_node(target);
+  ResilientProbe p{from, 0, false, 0, 0};
+  for (int step = 0; step < max_hops; ++step) {
+    const NodeIndex current = p.terminal;
+    if (current == target) {
+      p.ok = true;
+      return p;
+    }
+    const NodeId cur_id = net.id(current);
+    const bool clique_hop = groups.gid_of_key(cur_id) == target_gid;
+    if (clique_hop && !links.has_link(current, target)) return p;  // stuck
+    const GroupOrder order(net, groups, cur_id, target_gid, key);
+    const auto row = links.neighbors(current);
+    const NodeId* ids = detail::row_ids(links, current);
+    int attempts = 0;
+    if constexpr (kFaults) {
+      faults.banned.clear();
+      attempts = faults.retry_budget;
+    }
+    NodeIndex next = target;
+    for (;;) {  // per-hop retry ladder
+      if (!clique_hop) {
+        const std::size_t j = order.argbest(row, ids, [&](std::size_t c) {
+          if constexpr (kFaults) {
+            return !faults.dead.dead(row[c]) && !faults.banned_node(row[c]);
+          }
+          return true;
+        });
+        if (j == detail::kNoWinner) return p;  // stuck
+        next = row[j];
+      }
+      if constexpr (kFaults) {
+        if (faults.drops.drop()) {
+          ++p.retries;
+          if (--attempts <= 0) return p;  // lost
+          if (!clique_hop) faults.banned.push_back(next);
+          continue;
+        }
+      }
+      break;
+    }
+    p.terminal = next;
+    ++p.hops;
+    record(next);
+    if (clique_hop) {
+      p.ok = true;
+      return p;
+    }
+  }
+  return p;  // hop guard exceeded: structurally broken table
 }
 
-struct GroupNullRecorder {
-  void operator()(std::uint32_t) const {}
-};
-
-struct GroupPathRecorder {
-  std::vector<std::uint32_t>* path;
-  void operator()(std::uint32_t node) const { path->push_back(node); }
-};
-
-// Lane state + hooks of the interleaved group batch kernel, driven by
-// detail::interleaved_probe_batch (overlay/batch_probe.h). The lane
-// carries cur_id forward from the winning scan entry (target_ids_[k] is
-// ids[targets_[k]] by CSR construction) and derives every group ID from
-// it via gid_of_key — gid_of_node(m) == gid_of_key(net.id(m)) — so the
-// steady-state hop reads only the prefetched CSR row. The scan body is
-// group_core's loop verbatim, with indices tracked instead of nodes.
-struct GroupStepper {
+/// One lane of detail::interleaved_probe_batch over the group walk, shaped
+/// like detail::GreedyLane: the walk's target is found once per query, and
+/// a hop scans only the prefetched row's inline ids.
+struct GroupLane {
   const OverlayNetwork& net;
   const GroupedOverlay& groups;
   const LinkTable& links;
-  std::uint64_t mask;  // ID-space mask (ring_distance on raw NodeIds)
   int max_hops;
 
   struct Lane {
     std::size_t query_index;
-    std::uint32_t current;
-    NodeId cur_id;
+    NodeIndex current;
+    NodeId cur_id;  // == net.id(current) once need_id clears
     NodeId key;
-    std::uint32_t target;
+    NodeIndex target;
     NodeId target_gid;
     int hops;
     LinkOffset row_begin;
@@ -321,16 +378,9 @@ struct GroupStepper {
   };
 
   void begin(Lane& l, const Query& q, std::size_t query_index) const {
-    l.query_index = query_index;
-    l.current = q.from;
-    l.key = q.key;
-    l.hops = 0;
-    l.need_id = true;
-    // The same up-front responsibility lookups group_core performs once
-    // per query.
-    const int target_group = groups.responsible_group(q.key);
-    l.target_gid = groups.groups()[static_cast<std::size_t>(target_group)].gid;
-    l.target = groups.responsible(q.key);
+    const NodeIndex target = groups.responsible(q.key);
+    l = {query_index, q.from, 0, q.key, target, groups.gid_of_node(target),
+         0, 0, 0, true};
     prefetch_ro(net.ids().data() + q.from);
     links.prefetch_row_bounds(q.from);
   }
@@ -347,7 +397,7 @@ struct GroupStepper {
   }
 
   bool advance(Lane& l, RouteProbe& out) const {
-    if (l.hops >= max_hops) {  // group_core's hop-guard exhaustion
+    if (l.hops >= max_hops) {  // group_walk's hop-guard exhaustion
       out = {l.current, l.hops, false};
       return true;
     }
@@ -355,70 +405,73 @@ struct GroupStepper {
       out = {l.current, l.hops, true};
       return true;
     }
-    const NodeId cur_gid = groups.gid_of_key(l.cur_id);
-    if (cur_gid == l.target_gid) {
-      // Final intra-group hop over the dense group network.
-      if (links.has_link(l.current, l.target)) {
-        out = {l.target, l.hops + 1, true};
-      } else {
-        out = {l.current, l.hops, false};
-      }
+    if (groups.gid_of_key(l.cur_id) == l.target_gid) {  // the clique hop
+      out = links.has_link(l.current, l.target)
+                ? RouteProbe{l.target, l.hops + 1, true}
+                : RouteProbe{l.current, l.hops, false};
       return true;
     }
-    const std::uint64_t remaining_groups =
-        groups.group_distance(cur_gid, l.target_gid);
-    const std::uint64_t remaining_ids = (l.key - l.cur_id) & mask;
+    const std::span<const NodeIndex> row(links.targets_data() + l.row_begin,
+                                         l.row_end - l.row_begin);
     const NodeId* ids = links.target_ids_data() + l.row_begin;
-    const std::size_t count = l.row_end - l.row_begin;
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::size_t best_j = kNone;
-    std::uint64_t best_gcov = 0;
-    std::uint64_t best_icov = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint64_t gcov =
-          groups.group_distance(cur_gid, groups.gid_of_key(ids[j]));
-      if (gcov > remaining_groups) continue;  // overshoots the target group
-      const std::uint64_t icov = (ids[j] - l.cur_id) & mask;
-      if (gcov == 0 && icov > remaining_ids) continue;
-      if (gcov > best_gcov || (gcov == best_gcov && icov > best_icov)) {
-        best_gcov = gcov;
-        best_icov = icov;
-        best_j = j;
-      }
-    }
-    if (best_j == kNone) {
+    const std::size_t j =
+        GroupOrder(net, groups, l.cur_id, l.target_gid, l.key)
+            .argbest(row, ids, [](std::size_t) { return true; });
+    if (j == detail::kNoWinner) {
       out = {l.current, l.hops, false};
       return true;
     }
-    l.current = links.targets_data()[l.row_begin + best_j];
-    l.cur_id = ids[best_j];
+    l.current = row[j];
+    l.cur_id = ids[j];
     ++l.hops;
     links.prefetch_row_bounds(l.current);
     return false;
   }
 };
 
+/// `node`, or when it is dead its closest live predecessor on the global
+/// ring (node indices are ring positions).
+NodeIndex live_or_predecessor(NodeIndex node, std::size_t n,
+                              const FailureSet& dead) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto candidate = static_cast<NodeIndex>((node + n - i) % n);
+    if (!dead.dead(candidate)) return candidate;
+  }
+  throw std::logic_error("live_responsible: everyone is dead");
+}
+
+/// ResilientGroupRouter's body: the source check, then the fault-free walk
+/// when nothing is injected (so the zero-fault route is the plain
+/// router's) and otherwise the faulty walk towards the live responsible.
+template <typename Recorder>
+ResilientProbe resilient_group_walk(const OverlayNetwork& net,
+                                    const GroupedOverlay& groups,
+                                    const LinkTable& links, int max_hops,
+                                    NodeIndex from, NodeId key,
+                                    const detail::Faults& faults,
+                                    Recorder&& record) {
+  if (faults.dead.dead(from)) {
+    throw std::invalid_argument("ResilientGroupRouter: source is dead");
+  }
+  const NodeIndex responsible = groups.responsible(key);
+  if (!faults.dead.any() && !faults.drops.active()) {
+    return group_walk(net, groups, links, max_hops, from, key, responsible,
+                      detail::NoFaults{}, record);
+  }
+  return group_walk(net, groups, links, max_hops, from, key,
+                    live_or_predecessor(responsible, net.size(), faults.dead),
+                    faults, record);
+}
+
 }  // namespace
 
-void GroupRouter::route_into(std::uint32_t from, NodeId key,
-                             Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = group_core(*net_, *groups_, *links_, max_hops_, from, key,
-                      GroupPathRecorder{&out.path})
-               .ok;
-}
-
-RouteProbe GroupRouter::probe(std::uint32_t from, NodeId key) const {
-  return group_core(*net_, *groups_, *links_, max_hops_, from, key,
-                    GroupNullRecorder{});
-}
-
-void GroupRouter::probe_batch(std::span<const Query> queries,
-                              std::span<RouteProbe> out) const {
-  detail::probe_batch_with(
-      queries, out, *this, *links_,
-      GroupStepper{*net_, *groups_, *links_, net_->space().mask(), max_hops_});
+GroupRouter::GroupRouter(const OverlayNetwork& net,
+                         const GroupedOverlay& groups, const LinkTable& links)
+    : net_(&net),
+      groups_(&groups),
+      links_(&links),
+      max_hops_(hop_guard(net)) {
+  require_routable(net, links, "GroupRouter");
 }
 
 Route GroupRouter::route(std::uint32_t from, NodeId key) const {
@@ -427,13 +480,50 @@ Route GroupRouter::route(std::uint32_t from, NodeId key) const {
   return r;
 }
 
-namespace {
-
-bool in_list(const std::vector<std::uint32_t>& list, std::uint32_t node) {
-  return std::find(list.begin(), list.end(), node) != list.end();
+void GroupRouter::route_into(std::uint32_t from, NodeId key,
+                             Route& out) const {
+  out.path.assign(1, from);
+  out.ok = group_walk(*net_, *groups_, *links_, max_hops_, from, key,
+                      groups_->responsible(key), detail::NoFaults{},
+                      detail::PathRecorder{&out.path})
+               .ok;
 }
 
-}  // namespace
+RouteProbe GroupRouter::probe(std::uint32_t from, NodeId key) const {
+  return group_walk(*net_, *groups_, *links_, max_hops_, from, key,
+                    groups_->responsible(key), detail::NoFaults{},
+                    detail::NullRecorder{})
+      .to_probe();
+}
+
+void GroupRouter::probe_batch(std::span<const Query> queries,
+                              std::span<RouteProbe> out) const {
+  detail::probe_batch_with(queries, out, *this, *links_,
+                           GroupLane{*net_, *groups_, *links_, max_hops_});
+}
+
+StepResult GroupRouter::step(std::uint32_t at, NodeId key,
+                             std::span<NodeIndex> out) const {
+  const NodeIndex target = groups_->responsible(key);
+  if (at == target) return {0, true, true};
+  if (out.empty()) return {0, false, false};  // no candidates requested
+  const NodeId cur_id = net_->id(at);
+  const NodeId target_gid = groups_->gid_of_node(target);
+  if (groups_->gid_of_key(cur_id) == target_gid) {  // the clique hop
+    if (!links_->has_link(at, target)) return {0, true, false};  // stuck
+    out[0] = target;
+    return {1, false, false};
+  }
+  const GroupOrder order(*net_, *groups_, cur_id, target_gid, key);
+  const auto row = links_->neighbors(at);
+  detail::TopK<GroupRank> top(out.size());
+  order.scan(row, detail::row_ids(*links_, at),
+             [&](std::size_t j, const GroupRank& r) {
+               if (r < GroupRank{}) top.push(r, row[j]);
+             });
+  if (top.count == 0) return {0, true, false};  // stuck
+  return {top.emit(out), false, false};
+}
 
 ResilientGroupRouter::ResilientGroupRouter(const OverlayNetwork& net,
                                            const GroupedOverlay& groups,
@@ -452,119 +542,7 @@ ResilientGroupRouter::ResilientGroupRouter(const OverlayNetwork& net,
 
 std::uint32_t ResilientGroupRouter::live_responsible(
     NodeId key, const FailureSet& dead) const {
-  const std::uint32_t structural = groups_->responsible(key);
-  if (!dead.dead(structural)) return structural;
-  // Node indices are ring positions (ascending-ID order): walk
-  // predecessors from the structural responsible until a live one.
-  const std::uint32_t n = static_cast<std::uint32_t>(net_->size());
-  for (std::uint32_t i = 1; i < n; ++i) {
-    const std::uint32_t candidate = (structural + n - i) % n;
-    if (!dead.dead(candidate)) return candidate;
-  }
-  throw std::logic_error("live_responsible: everyone is dead");
-}
-
-template <typename Recorder>
-ResilientProbe ResilientGroupRouter::core(std::uint32_t from, NodeId key,
-                                          const FailureSet& dead,
-                                          DropRoller& drops, Scratch& scratch,
-                                          Recorder&& record) const {
-  if (dead.dead(from)) {
-    throw std::invalid_argument("ResilientGroupRouter: source is dead");
-  }
-  const IdSpace& space = net_->space();
-  const bool faults = dead.any() || drops.active();
-  const std::uint32_t target =
-      faults ? live_responsible(key, dead) : groups_->responsible(key);
-  const NodeId target_gid = groups_->gid_of_node(target);
-
-  std::uint32_t current = from;
-  int hops = 0;
-  int retries = 0;
-  int fallback_hops = 0;
-  for (int step = 0; step < max_hops_; ++step) {
-    if (current == target) return {current, hops, true, retries, fallback_hops};
-    const NodeId cur_gid = groups_->gid_of_node(current);
-    const std::uint64_t remaining_groups =
-        groups_->group_distance(cur_gid, target_gid);
-    const std::uint64_t remaining_ids =
-        space.ring_distance(net_->id(current), key);
-    scratch.banned.clear();
-    int attempts = retry_budget_;
-    for (;;) {  // per-hop retry ladder
-      std::uint32_t best = current;
-      bool final_hop = false;
-      bool via_fallback = false;
-      if (cur_gid == target_gid) {
-        // Final intra-group hop over the dense group network.
-        if (!links_->has_link(current, target)) {
-          return {current, hops, false, retries, fallback_hops};
-        }
-        best = target;
-        final_hop = true;
-      } else {
-        // Greedy on group distance, never overshooting the target group;
-        // ties broken by clockwise ID progress toward the key.
-        std::uint64_t best_gcov = 0;
-        std::uint64_t best_icov = 0;
-        for (const std::uint32_t nb : links_->neighbors(current)) {
-          const std::uint64_t gcov =
-              groups_->group_distance(cur_gid, groups_->gid_of_node(nb));
-          if (gcov > remaining_groups) continue;  // overshoots
-          const std::uint64_t icov =
-              space.ring_distance(net_->id(current), net_->id(nb));
-          if (gcov == 0 && icov > remaining_ids) continue;
-          if (faults && (dead.dead(nb) || in_list(scratch.banned, nb))) {
-            continue;
-          }
-          if (gcov > best_gcov || (gcov == best_gcov && icov > best_icov)) {
-            best_gcov = gcov;
-            best_icov = icov;
-            best = nb;
-          }
-        }
-        if (best == current && faults) {
-          // Sidestep: the live neighbor strictly closer to the target in
-          // (group distance, ID distance) lexicographic order — strictly
-          // decreasing, so fallback chains cannot cycle.
-          std::uint64_t best_gd = remaining_groups;
-          std::uint64_t best_idd = remaining_ids;
-          for (const std::uint32_t nb : links_->neighbors(current)) {
-            if (dead.dead(nb) || in_list(scratch.banned, nb)) continue;
-            const std::uint64_t gd =
-                groups_->group_distance(groups_->gid_of_node(nb), target_gid);
-            const std::uint64_t idd =
-                space.ring_distance(net_->id(nb), key);
-            if (gd < best_gd || (gd == best_gd && idd < best_idd)) {
-              best_gd = gd;
-              best_idd = idd;
-              best = nb;
-            }
-          }
-          via_fallback = best != current;
-        }
-      }
-      if (best == current) {
-        return {current, hops, false, retries, fallback_hops};  // stuck
-      }
-      if (drops.drop()) {
-        ++retries;
-        if (--attempts <= 0) {
-          return {current, hops, false, retries, fallback_hops};  // lost
-        }
-        // The clique hop has a single possible receiver: retransmit
-        // instead of banning it.
-        if (!final_hop) scratch.banned.push_back(best);
-        continue;
-      }
-      if (via_fallback) ++fallback_hops;
-      current = best;
-      ++hops;
-      record(current);
-      break;
-    }
-  }
-  return {current, hops, false, retries, fallback_hops};
+  return live_or_predecessor(groups_->responsible(key), net_->size(), dead);
 }
 
 ResilientProbe ResilientGroupRouter::route_into(std::uint32_t from, NodeId key,
@@ -572,11 +550,11 @@ ResilientProbe ResilientGroupRouter::route_into(std::uint32_t from, NodeId key,
                                                 DropRoller& drops,
                                                 Scratch& scratch,
                                                 Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-  const ResilientProbe p =
-      core(from, key, dead, drops, scratch, GroupPathRecorder{&out.path});
+  out.path.assign(1, from);
+  const ResilientProbe p = resilient_group_walk(
+      *net_, *groups_, *links_, max_hops_, from, key,
+      {dead, drops, scratch.banned, nullptr, 0, retry_budget_},
+      detail::PathRecorder{&out.path});
   out.ok = p.ok;
   return p;
 }
@@ -585,7 +563,10 @@ ResilientProbe ResilientGroupRouter::probe(std::uint32_t from, NodeId key,
                                            const FailureSet& dead,
                                            DropRoller& drops,
                                            Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, GroupNullRecorder{});
+  return resilient_group_walk(
+      *net_, *groups_, *links_, max_hops_, from, key,
+      {dead, drops, scratch.banned, nullptr, 0, retry_budget_},
+      detail::NullRecorder{});
 }
 
 }  // namespace canon

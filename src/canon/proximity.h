@@ -23,6 +23,7 @@
 #include "overlay/metrics.h"
 #include "overlay/overlay_network.h"
 #include "overlay/routing.h"
+#include "overlay/stepper.h"
 
 namespace canon {
 
@@ -107,6 +108,13 @@ class GroupRouter {
   void probe_batch(std::span<const Query> queries,
                    std::span<RouteProbe> out) const;
 
+  /// One resumable hop (overlay/stepper.h): inside the responsible group
+  /// the responsible node when it is a neighbor, else the neighbors that
+  /// make progress in the walk's order, best first. Candidate 0 is
+  /// route()'s hop.
+  StepResult step(std::uint32_t at, NodeId key,
+                  std::span<NodeIndex> out) const;
+
  private:
   const OverlayNetwork* net_;
   const GroupedOverlay* groups_;
@@ -114,16 +122,17 @@ class GroupRouter {
   int max_hops_;
 };
 
-/// Failure-aware two-phase group routing: the plain greedy walk on group
-/// distance restricted to live neighbors, aiming at the live responsible
-/// node (a dead responsible's duty falls to its closest live ring
-/// predecessor — the intra-group clique is "necessary even otherwise for
-/// replication and fault tolerance"). When no live neighbor makes plain
-/// greedy progress the query sidesteps to the live neighbor strictly
-/// closer to the target in (group distance, ID distance) lexicographic
-/// order, which cannot cycle. Dropped forwarding attempts retry the next
-/// candidate (the final clique hop retransmits to the same target), up to
-/// `retry_budget` per hop. Hot-path contract of overlay/routing.h.
+/// Failure-aware two-phase group routing: GroupRouter's walk restricted to
+/// live neighbors, aiming at the live responsible node (a dead
+/// responsible's duty falls to its closest live ring predecessor — the
+/// intra-group clique is "necessary even otherwise for replication and
+/// fault tolerance"). There is no fallback, and fallback_hops stays 0: a
+/// live neighbor strictly closer to the target in (group distance, ID
+/// distance) order is exactly a live neighbor that makes greedy progress,
+/// so when the greedy scan finds none, no sidestep could either. Dropped
+/// forwarding attempts retry the next candidate (the final clique hop
+/// retransmits to the same target), up to `retry_budget` per hop.
+/// Hot-path contract of overlay/routing.h.
 class ResilientGroupRouter {
  public:
   ResilientGroupRouter(const OverlayNetwork& net, const GroupedOverlay& groups,
@@ -147,11 +156,6 @@ class ResilientGroupRouter {
   std::uint32_t live_responsible(NodeId key, const FailureSet& dead) const;
 
  private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
   const OverlayNetwork* net_;
   const GroupedOverlay* groups_;
   const LinkTable* links_;

@@ -27,7 +27,8 @@
 //
 // Internal header. The Stepper supplies the metric-specific pieces — the
 // ring and XOR families share detail::GreedyLane (overlay/greedy_kernel.h),
-// the proximity families have GroupStepper (canon/proximity.cc):
+// the proximity families have GroupLane (canon/proximity.cc), which scans
+// with the group walk's own order:
 //
 //   struct Stepper {
 //     struct Lane { std::size_t query_index; ... };

@@ -1,6 +1,5 @@
 #include "overlay/family_registry.h"
 
-#include <algorithm>
 #include <array>
 #include <limits>
 #include <memory>
@@ -136,8 +135,9 @@ struct XorState {
   }
 };
 
-// The CAN router and stepper share one state type: the zone partition of
-// all nodes plus the routers over the caller's link table.
+// The CAN, Can-Can and group states are shared with the make_stepper
+// hooks. CAN's is the zone partition of all nodes plus the routers over the
+// caller's link table.
 struct CanState {
   ZoneTree tree;
   CanRouter plain;
@@ -204,15 +204,15 @@ FamilyRouter make_group_router(const OverlayNetwork& net,
 // ---------------------------------------------------------------------------
 // make_stepper hooks
 //
-// Resumable one-hop versions of the CAN / Can-Can / group routing cores
+// Resumable one-hop versions of the CAN / Can-Can / group walks
 // (overlay/stepper.h documents the contract; the ring/XOR steppers live in
 // canon_overlay and their factories go straight into the table). Each
-// closure owns its auxiliary structure via shared_ptr; the CAN families'
-// steppers hold the same state as their make_router hooks and call the
-// plain router's step(), which ranks by the walk's own zone-match scan.
+// closure holds the same state as its family's make_router hook and calls
+// the plain router's step(), which ranks by the walk's own scan.
 
-Stepper make_can_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  auto state = std::make_shared<const CanState>(net, links);
+template <typename State>
+Stepper make_state_stepper(const OverlayNetwork& net, const LinkTable& links) {
+  auto state = std::make_shared<const State>(net, links);
   return [state](NodeIndex at, NodeId key, std::uint64_t&,
                  std::span<NodeIndex> out) -> StepResult {
     return state->plain.step(at, key, out);
@@ -225,77 +225,6 @@ Stepper make_cancan_stepper(const OverlayNetwork& net,
   return [state](NodeIndex at, NodeId key, std::uint64_t& word,
                  std::span<NodeIndex> out) -> StepResult {
     return state->plain.step(at, key, word, out);
-  };
-}
-
-// group_core's loop body: greedy on group distance (never overshooting the
-// target group), ties broken by clockwise ID progress; once inside the
-// target group, the final hop goes straight to the responsible node over
-// the dense group network.
-Stepper make_group_stepper(const OverlayNetwork& net, const LinkTable& links) {
-  auto groups = std::make_shared<const GroupedOverlay>(
-      net, ProximityConfig{}.target_group_size);
-  const OverlayNetwork* n = &net;
-  const LinkTable* l = &links;
-  return [groups, n, l](NodeIndex at, NodeId key, std::uint64_t&,
-                        std::span<NodeIndex> out) -> StepResult {
-    const IdSpace& space = n->space();
-    const int target_group = groups->responsible_group(key);
-    const NodeId target_gid =
-        groups->groups()[static_cast<std::size_t>(target_group)].gid;
-    const std::uint32_t target = groups->responsible(key);
-    if (at == target) return {0, true, true};
-    if (out.empty()) return {0, false, false};  // no candidates requested
-    const NodeId cur_gid = groups->gid_of_node(at);
-    if (cur_gid == target_gid) {
-      if (l->has_link(at, target)) {
-        out[0] = target;
-        return {1, false, false};
-      }
-      return {0, true, false};  // stuck inside the target group
-    }
-    const std::uint64_t remaining_groups =
-        groups->group_distance(cur_gid, target_gid);
-    const std::uint64_t remaining_ids =
-        space.ring_distance(n->id(at), key);
-    // (gcov desc, icov desc) needs a lexicographic two-word rank, so this
-    // one keeps explicit pairs instead of detail::TopK's single metric.
-    // Strictly-greater displacement keeps first-seen order on full ties,
-    // matching the scalar core's running argbest.
-    std::uint64_t gcov[kMaxStepCandidates];
-    std::uint64_t icov[kMaxStepCandidates];
-    NodeIndex node[kMaxStepCandidates];
-    int count = 0;
-    const int cap = static_cast<int>(
-        std::min<std::size_t>(out.size(), kMaxStepCandidates));
-    for (const std::uint32_t nb : l->neighbors(at)) {
-      const std::uint64_t g =
-          groups->group_distance(cur_gid, groups->gid_of_node(nb));
-      if (g > remaining_groups) continue;  // overshoots the target group
-      const std::uint64_t i = space.ring_distance(n->id(at), n->id(nb));
-      if (g == 0 && i > remaining_ids) continue;
-      if (g == 0 && i == 0) continue;  // no progress at all
-      int pos = count < cap ? count : cap - 1;
-      if (count < cap) {
-        ++count;
-      } else if (g < gcov[cap - 1] ||
-                 (g == gcov[cap - 1] && i <= icov[cap - 1])) {
-        continue;
-      }
-      while (pos > 0 && (gcov[pos - 1] < g ||
-                         (gcov[pos - 1] == g && icov[pos - 1] < i))) {
-        gcov[pos] = gcov[pos - 1];
-        icov[pos] = icov[pos - 1];
-        node[pos] = node[pos - 1];
-        --pos;
-      }
-      gcov[pos] = g;
-      icov[pos] = i;
-      node[pos] = nb;
-    }
-    if (count == 0) return {0, true, false};  // stuck
-    for (int i = 0; i < count; ++i) out[static_cast<std::size_t>(i)] = node[i];
-    return {count, false, false};
   };
 }
 
@@ -442,7 +371,8 @@ constexpr FamilyEntry kFamilies[] = {
      audit_flat_ring, make_ring_stepper},
     {"kademlia", build_kademlia_hook, make_xor_router, audit_kademlia,
      make_xor_stepper},
-    {"can", build_can_hook, make_can_router, audit_can, make_can_stepper},
+    {"can", build_can_hook, make_can_router, audit_can,
+     make_state_stepper<CanState>},
     {"crescendo", build_crescendo_hook, make_ring_router, audit_crescendo,
      make_ring_stepper},
     {"clique_crescendo", build_clique_crescendo_hook, make_ring_router,
@@ -456,9 +386,9 @@ constexpr FamilyEntry kFamilies[] = {
     {"cancan", build_cancan_hook, make_cancan_router, audit_cancan,
      make_cancan_stepper},
     {"chord_prox", build_chord_prox_hook, make_group_router,
-     audit_chord_prox, make_group_stepper},
+     audit_chord_prox, make_state_stepper<GroupState>},
     {"crescendo_prox", build_crescendo_prox_hook, make_group_router,
-     audit_crescendo_prox, make_group_stepper},
+     audit_crescendo_prox, make_state_stepper<GroupState>},
 };
 
 constexpr std::size_t kFamilyCount = std::size(kFamilies);

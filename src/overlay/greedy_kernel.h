@@ -20,11 +20,12 @@
 // * the steppers — feed the same rank into detail::TopK (stepper.cc).
 //
 // The CAN and Can-Can walks (dht/can.cc, canon/cancan.cc) rank by their
-// zone-match scan instead of a metric, but share the NoFaults/Faults
-// policies and the recorders below.
+// zone-match scan, and the group walk (canon/proximity.cc) by its two-key
+// group order, instead of a metric; they share the NoFaults/Faults
+// policies, the recorders, row_ids and detail::TopK.
 //
 // Internal header: included by routing.cc, resilient_routing.cc,
-// stepper.cc, dht/can.cc and canon/cancan.cc only.
+// stepper.cc, dht/can.cc, canon/cancan.cc and canon/proximity.cc only.
 #ifndef CANON_OVERLAY_GREEDY_KERNEL_H
 #define CANON_OVERLAY_GREEDY_KERNEL_H
 
@@ -156,8 +157,14 @@ Pick argmin_rank(const Metric& metric, NodeId key, std::uint64_t remaining,
   return best;
 }
 
+/// A CSR row's inline ids when the table captured them, else null: the
+/// readers then fall back to the overlay's id array.
+inline const NodeId* row_ids(const LinkTable& links, NodeIndex node) {
+  return links.has_inline_ids() ? links.neighbor_ids(node).data() : nullptr;
+}
+
 /// argmin_rank over one CSR row: its inline ids when the table captured
-/// them (`ids` non-null), else the overlay's id array.
+/// them (`ids` non-null, see row_ids), else the overlay's id array.
 template <typename Metric, typename Keep = KeepAll>
 Pick argmin_row(const Metric& metric, NodeId key, std::uint64_t remaining,
                 std::span<const NodeIndex> row, const NodeId* ids,
@@ -218,8 +225,7 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
     const NodeIndex current = p.terminal;
     const std::uint64_t remaining = metric.rank(net.id(current), key);
     const auto row = links.neighbors(current);
-    const NodeId* ids =
-        links.has_inline_ids() ? links.neighbor_ids(current).data() : nullptr;
+    const NodeId* ids = row_ids(links, current);
     NodeIndex next = current;
     if constexpr (!FaultPolicy::kActive) {
       const Pick pick = argmin_row(metric, key, remaining, row, ids);

@@ -17,60 +17,48 @@ namespace {
 // never mid-batch — so ordering carries no data.
 std::atomic<int> g_probe_batch_width{kDefaultProbeBatchWidth};
 
-/// NodeIds of `links`' neighbors of `node`, read from the CSR inline-id
-/// array when the table captured it, else nullptr (caller falls back to
-/// per-candidate net lookups — tables finalized without ids).
-const NodeId* inline_ids_or_null(const LinkTable& links, NodeIndex node) {
-  return links.has_inline_ids() ? links.neighbor_ids(node).data() : nullptr;
-}
-
 /// Greedy-with-lookahead core (Symphony §3.1): commits to the whole best
-/// 2-step plan, recording one or two nodes per iteration.
+/// 2-step plan, recording one or two nodes per iteration. A plan ranks by
+/// where it ends in the greedy ring rank, and each of its steps must lower
+/// that rank, as a plain greedy hop does.
 template <typename Recorder>
-RouteProbe ring_lookahead_core(const OverlayNetwork& net,
+RouteProbe ring_lookahead_core(const detail::RingMetric& metric,
                                const LinkTable& links, int max_hops,
                                NodeIndex from, NodeId key,
                                Recorder&& record) {
-  const IdSpace& space = net.space();
+  const OverlayNetwork& net = *metric.net;
   NodeIndex current = from;
   int hops = 0;
   for (int step = 0; step < max_hops; ++step) {
-    const NodeId cur_id = net.id(current);
-    const std::uint64_t remaining = space.ring_distance(cur_id, key);
-    // Evaluate all 1-step and 2-step plans that never overshoot and commit
-    // to the whole plan with the smallest final remaining distance.
+    const std::uint64_t remaining = metric.rank(net.id(current), key);
+    // Evaluate all 1-step and 2-step plans and commit to the whole plan
+    // with the smallest final rank.
     NodeIndex best_v = current;
     NodeIndex best_w = current;  // == best_v for 1-step plans
     std::uint64_t best_final = remaining;
-    const auto neighbors = links.neighbors(current);
-    const NodeId* nb_ids = inline_ids_or_null(links, current);
-    for (std::size_t j = 0; j < neighbors.size(); ++j) {
-      const NodeIndex v = neighbors[j];
-      const NodeId v_id = nb_ids ? nb_ids[j] : net.id(v);
-      const std::uint64_t covered1 = space.ring_distance(cur_id, v_id);
-      if (covered1 == 0 || covered1 > remaining) continue;
-      const std::uint64_t after1 = remaining - covered1;
+    const auto row = links.neighbors(current);
+    const NodeId* ids = detail::row_ids(links, current);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      const NodeIndex v = row[j];
+      const std::uint64_t after1 = metric.rank(ids ? ids[j] : net.id(v), key);
+      if (after1 >= remaining) continue;  // no progress, or overshoots
       if (after1 < best_final) {
         best_final = after1;
         best_v = v;
         best_w = v;
       }
+      // best_final <= after1 now, so the second step lowers both.
       const auto second = links.neighbors(v);
-      const NodeId* second_ids = inline_ids_or_null(links, v);
-      for (std::size_t k = 0; k < second.size(); ++k) {
-        const NodeId w_id = second_ids ? second_ids[k] : net.id(second[k]);
-        const std::uint64_t covered2 = space.ring_distance(v_id, w_id);
-        if (covered2 == 0 || covered2 > after1) continue;
-        const std::uint64_t after2 = after1 - covered2;
-        if (after2 < best_final) {
-          best_final = after2;
-          best_v = v;
-          best_w = second[k];
-        }
+      const detail::Pick w = detail::argmin_row(metric, key, best_final, second,
+                                                detail::row_ids(links, v));
+      if (w.index != detail::kNoWinner) {
+        best_final = w.rank;
+        best_v = v;
+        best_w = second[w.index];
       }
     }
     if (best_v == current) {
-      return {current, hops, current == net.responsible(key)};
+      return {current, hops, current == metric.terminal(key)};
     }
     record(best_v);
     ++hops;
@@ -181,14 +169,14 @@ Route RingRouter::route(NodeIndex from, NodeId key) const {
 void RingRouter::route_lookahead_into(NodeIndex from, NodeId key,
                                       Route& out) const {
   out.path.assign(1, from);
-  out.ok = ring_lookahead_core(*net_, *links_, max_hops_, from, key,
-                               detail::PathRecorder{&out.path})
+  out.ok = ring_lookahead_core(detail::RingMetric(*net_), *links_, max_hops_,
+                               from, key, detail::PathRecorder{&out.path})
                .ok;
 }
 
 RouteProbe RingRouter::probe_lookahead(NodeIndex from, NodeId key) const {
-  return ring_lookahead_core(*net_, *links_, max_hops_, from, key,
-                             detail::NullRecorder{});
+  return ring_lookahead_core(detail::RingMetric(*net_), *links_, max_hops_,
+                             from, key, detail::NullRecorder{});
 }
 
 Route RingRouter::route_lookahead(NodeIndex from, NodeId key) const {

@@ -37,9 +37,8 @@
 // (overlay/greedy_kernel.h) — the same rank and tie rule as every other
 // path of those families. The CAN/Can-Can/group steppers own heavier
 // auxiliary structures and are built via the family registry's
-// make_stepper hook (overlay/family_registry.h); the CAN and Can-Can ones
-// call CanRouter::step / CanCanRouter::step, which share their walks'
-// zone-match scan.
+// make_stepper hook (overlay/family_registry.h); they call CanRouter::step,
+// CanCanRouter::step and GroupRouter::step, which share their walks' scans.
 #ifndef CANON_OVERLAY_STEPPER_H
 #define CANON_OVERLAY_STEPPER_H
 
@@ -86,11 +85,13 @@ Stepper make_xor_stepper(const OverlayNetwork& net, const LinkTable& links);
 
 namespace detail {
 
-/// Small fixed-capacity best-K ranking: keeps the K smallest keys seen,
-/// stable on ties (first inserted stays first), so candidate 0 always
-/// matches the strict-inequality running argmin of the routers.
+/// Small fixed-capacity best-K ranking: keeps the K smallest ranks seen
+/// (by the rank type's `<`), stable on ties (first inserted stays first),
+/// so candidate 0 always matches the strict-inequality running argbest of
+/// the routers.
+template <typename Rank = std::uint64_t>
 struct TopK {
-  std::uint64_t metric[kMaxStepCandidates];
+  Rank rank[kMaxStepCandidates];
   NodeIndex node[kMaxStepCandidates];
   int count = 0;
   int cap;
@@ -99,22 +100,22 @@ struct TopK {
       : cap(static_cast<int>(std::min<std::size_t>(
             capacity, static_cast<std::size_t>(kMaxStepCandidates)))) {}
 
-  /// Inserts (m, v) keeping metric ascending; equal metrics keep
-  /// insertion order.
-  void push(std::uint64_t m, NodeIndex v) {
+  /// Inserts (r, v) keeping ranks ascending; equal ranks keep insertion
+  /// order.
+  void push(const Rank& r, NodeIndex v) {
     if (cap == 0) return;
     int i = count < cap ? count : cap - 1;
     if (count < cap) {
       ++count;
-    } else if (m >= metric[cap - 1]) {
+    } else if (!(r < rank[cap - 1])) {
       return;
     }
-    while (i > 0 && metric[i - 1] > m) {
-      metric[i] = metric[i - 1];
+    while (i > 0 && r < rank[i - 1]) {
+      rank[i] = rank[i - 1];
       node[i] = node[i - 1];
       --i;
     }
-    metric[i] = m;
+    rank[i] = r;
     node[i] = v;
   }
 
