@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): routing throughput for the greedy
 // ring router (Chord/Crescendo), lookahead and XOR routing, the CAN and
-// Can-Can probe paths, plus the batch QueryEngine.
+// Can-Can probe paths, the group batch probe, plus the batch QueryEngine.
 //
 // All (from, key) workloads are pre-generated outside the timed loops
 // (cycled through a power-of-two array), so BM_Route* measures routing
@@ -23,6 +23,7 @@
 #include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
+#include "canon/proximity.h"
 #include "dht/can.h"
 #include "dht/chord.h"
 #include "overlay/population.h"
@@ -188,6 +189,33 @@ void BM_ProbeBatchCrescendo(benchmark::State& state) {
                           static_cast<std::int64_t>(kWorkload));
 }
 BENCHMARK(BM_ProbeBatchCrescendo)->Arg(8192)->Arg(1 << 20);
+
+/// GroupRouter::probe_batch over Crescendo (Prox.): the interleaved lanes
+/// of the two-phase group walk, ranking each row by the walk's group
+/// order over its inline ids.
+void BM_ProbeBatchGroup(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 4);
+  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  // The registry's deterministic synthetic latency oracle.
+  const HopCost latency = [](std::uint32_t a, std::uint32_t b) {
+    return static_cast<double>((a * 31u + b * 17u) % 97u + 1u);
+  };
+  Rng rng(11);
+  const LinkTable links =
+      build_crescendo_prox(net, groups, latency, ProximityConfig{}, rng);
+  const GroupRouter router(net, groups, links);
+  const auto queries = uniform_workload(net, kWorkload, Rng(11));
+  std::vector<RouteProbe> out(queries.size());
+  for (auto _ : state) {
+    router.probe_batch(queries, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kWorkload));
+}
+BENCHMARK(BM_ProbeBatchGroup)->Arg(8192);
 
 /// The scalar per-call probe loop over the same fixture and workload —
 /// the baseline BM_ProbeBatchCrescendo's speedup is measured against
