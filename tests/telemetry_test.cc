@@ -11,7 +11,7 @@
 #include <string>
 
 #include "canon/crescendo.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/overlay_network.h"
 #include "overlay/population.h"
 #include "overlay/routing.h"
@@ -349,14 +349,16 @@ TEST(RouteTrace, LevelHopCounterMatchesRecordingSink) {
   EXPECT_EQ(counter.failures(), 0u);
 }
 
-TEST(RouteTrace, EventSimulatorReportsQueueingDelay) {
+TEST(RouteTrace, MessageSimulatorReportsQueueingDelay) {
   const auto net = small_hierarchy();
   const auto links = build_crescendo(net);
   telemetry::RecordingTraceSink sink;
-  EventSimConfig config;
-  config.processing_ms = 1.0;  // force queueing at shared nodes
-  EventSimulator sim(net, links, {}, config);
-  sim.set_trace(&sink);
+  MessageSimConfig config;
+  config.service_ms = 1.0;  // force queueing at shared nodes
+  MessageSimulator sim(net, links, {}, {}, config);
+  SimSinks sinks;
+  sinks.trace = &sink;
+  sim.attach(sinks);
   for (int i = 0; i < 20; ++i) {
     sim.submit(static_cast<std::uint32_t>(i % net.size()),
                static_cast<NodeId>(200 - i), 0.0);
