@@ -12,19 +12,20 @@
 //   accountant merges per-shard tallies in fixed shard order, so rows are
 //   byte-identical at any --threads (ctest bench_query_determinism_load).
 //
-//   Section B (one "crash_curve" row): the discrete-event simulator runs
-//   the concurrent version of the workload while a FaultPlan crashes a
-//   fraction of nodes mid-run; a TimeSeriesRecorder turns the degradation
-//   into a curve (lookups/s, failures/s, live nodes) emitted as the row's
-//   "timeseries" array. The simulator is serial, so this too is
-//   thread-invariant.
+//   Section B (one "crash_curve" row): MessageSimulator runs the
+//   concurrent version of the workload while a FaultPlan crashes a
+//   fraction of nodes mid-run. Probes to dead nodes time out, retry and
+//   fall back to the next candidate; a TimeSeriesRecorder turns the
+//   degradation into a curve (lookups/s, failures/s, live nodes) emitted
+//   as the row's "timeseries" array. The simulator is serial, so this too
+//   is thread-invariant.
 #include <iostream>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "canon/crescendo.h"
 #include "common/table.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
 #include "telemetry/load_stats.h"
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     spec.hierarchy.fanout = 10;
     const auto net = make_population(spec, rng);
     const auto links = build_crescendo(net);
-    EventSimulator sim(net, links);
+    MessageSimulator sim(net, links);
     telemetry::TimeSeriesRecorder series(25.0);
 
     const double submit_gap_ms = 0.02;

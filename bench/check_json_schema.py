@@ -362,8 +362,9 @@ def check_load(binary):
             assert key in r, f"time-series row missing {key!r}"
         failures += r["failures_per_s"] * window / 1000.0
         if r["failures_per_s"] > 0:
-            # Failures are completions at a dead node, so they can only
-            # land in windows that end after the crash instant.
+            # A lookup fails only after its probes time out, and that can
+            # only start at the crash: failures land in windows that end
+            # after the crash instant.
             assert r["t_ms"] + window > crash_at, (
                 f"failures at t={r['t_ms']} before crash at {crash_at}")
     assert round(failures) == crash["failed"], (

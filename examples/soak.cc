@@ -1,6 +1,6 @@
 // Soak test: a Crescendo deployment under concurrent load and failures.
-// Drives thousands of simultaneous lookups through the discrete-event
-// simulator (per-node queueing), then kills a third of the network and
+// Drives thousands of simultaneous lookups through MessageSimulator
+// (per-node inboxes and queueing), then kills a third of the network and
 // shows leaf-set fallback keeping lookups alive.
 //
 // Flags: --nodes=4096 --lookups=20000 --seed=42
@@ -24,7 +24,7 @@
 #include "canon/crescendo.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/population.h"
 #include "overlay/resilient_routing.h"
 #include "telemetry/flame_export.h"
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // Phase 1: concurrent lookups, Poisson-ish arrivals. Failed lookups
   // land in the journal as lookup_failure events.
-  EventSimulator sim(net, links);
+  MessageSimulator sim(net, links);
   telemetry::TimeSeriesRecorder series(/*window_ms=*/50.0);
   SimSinks sinks;
   sinks.journal = journal.get();

@@ -116,7 +116,7 @@ struct FamilyEntry {
                               const LinkTable& links);
 
   /// Builds the family's resumable one-hop stepper (overlay/stepper.h)
-  /// for the discrete-event simulators: candidate 0 reproduces the hop
+  /// for the message simulator: candidate 0 reproduces the hop
   /// the family's greedy route() would take; later candidates feed
   /// α-parallel speculation. The CAN families rebuild their deterministic
   /// auxiliary structures from `net` and the returned closure owns them;

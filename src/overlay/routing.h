@@ -11,7 +11,7 @@
 //
 // Both are thin shells over the one greedy kernel (overlay/greedy_kernel.h)
 // that also drives the resilient routers, the interleaved batch probe and
-// the simulators' steppers, so every path of a family picks its next hop
+// the simulator's steppers, so every path of a family picks its next hop
 // by the same rank and the same first-best tie rule.
 #ifndef CANON_OVERLAY_ROUTING_H
 #define CANON_OVERLAY_ROUTING_H

@@ -1,11 +1,8 @@
-// The simulators' observer bundle.
+// The simulator's observer bundle.
 //
-// EventSimulator grew one setter per observer (trace, journal, time
-// series, fault plan, load snapshots); with MessageSimulator arriving the
-// pair would have doubled that surface. SimSinks is the one aggregate both
-// engines accept: raw pointers to the caller-owned sinks plus the options
-// that only mean something when a sink is present, validated once at
-// attach() time instead of per-setter.
+// SimSinks is the one aggregate MessageSimulator::attach accepts: raw
+// pointers to the caller-owned sinks plus the options that only mean
+// something when a sink is present, validated once at attach() time.
 //
 //   telemetry::TimeSeriesRecorder series(50.0);
 //   SimSinks sinks;
@@ -16,9 +13,7 @@
 //
 // All pointers are borrowed: the caller keeps the sinks alive for the
 // simulator's lifetime. Attaching replaces the whole previous bundle
-// (attach(SimSinks{}) detaches everything). The legacy per-field setters
-// survive as thin forwarders that edit a copy of the current bundle and
-// re-attach it; new code should build a SimSinks directly.
+// (attach(SimSinks{}) detaches everything).
 #ifndef CANON_OVERLAY_SIM_SINKS_H
 #define CANON_OVERLAY_SIM_SINKS_H
 
@@ -49,12 +44,12 @@ struct SimSinks {
   /// per-message queueing, live-node count.
   telemetry::TimeSeriesRecorder* timeseries = nullptr;
 
-  /// Crash/revive schedule applied on the simulated clock (and, in
-  /// MessageSimulator, the per-attempt drop probability). Borrowed.
+  /// Crash/revive schedule applied on the simulated clock, plus the
+  /// per-message-leg drop probability. Borrowed.
   const FaultPlan* fault_plan = nullptr;
 
-  /// Per-lookup frontier paths tallied for domain-confinement / hotspot
-  /// reports. Only MessageSimulator feeds it.
+  /// Every completed lookup's frontier path, tallied for
+  /// domain-confinement / hotspot reports.
   telemetry::LoadAccountant* load = nullptr;
 
   /// Emit a load_snapshot journal line with the top-k loaded nodes every

@@ -1,8 +1,8 @@
 // Resumable one-hop routing steppers.
 //
 // The routers in overlay/routing.h (and the CAN/Can-Can/group routers in
-// their own layers) walk a whole route in one call. The discrete-event
-// simulators need the same decision *one hop at a time*, interleaved
+// their own layers) walk a whole route in one call. The message
+// simulator needs the same decision *one hop at a time*, interleaved
 // across thousands of in-flight lookups: given the node a lookup currently
 // sits at, rank the next-hop candidates best-first and say whether the
 // node is terminal. A Stepper is exactly that — the per-hop body of a

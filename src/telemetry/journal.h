@@ -13,7 +13,8 @@
 // Event envelope (every line):   {"seq": <u64>, "type": "<type>", ...}
 // Emitters in the library:
 //   DynamicCrescendo::set_journal  -> join / leave / repair
-//   EventSimulator::set_journal    -> lookup_failure / load_snapshot
+//   MessageSimulator (SimSinks)    -> lookup_failure / load_snapshot /
+//                                     crash / revive (applied faults)
 //   StructureAuditor callers       -> audit_snapshot (via audit_snapshot())
 //   FaultPlan::materialize         -> crash / revive (injected faults)
 //
@@ -73,7 +74,7 @@ class EventJournal {
   /// Injected revival; same fields as crash.
   std::uint64_t revive(std::uint32_t node, std::uint64_t id, std::uint64_t at);
   /// Top-k loaded nodes at simulated time `t_ms` (one per aggregation
-  /// window; EventSimulator::set_load_snapshots). `top_nodes` pairs are
+  /// window; SimSinks::snapshot_top_k). `top_nodes` pairs are
   /// (node index, messages handled), hottest first.
   std::uint64_t load_snapshot(
       double t_ms,

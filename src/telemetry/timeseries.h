@@ -1,13 +1,13 @@
 // Windowed time series over the *simulated* clock.
 //
-// The event simulator and the fault plans give the library a virtual
+// The message simulator and the fault plans give the library a virtual
 // timeline; TimeSeriesRecorder buckets what happens on it into fixed-width
 // windows so degradation under churn or crashes becomes a curve (lookups/s
 // issued and completed, failures/s, messages/s, mean queueing delay as a
 // congestion proxy, live-node count) rather than one end-of-run number.
 //
 // Determinism: windows are pure functions of the recorded (time, value)
-// stream; the event simulator is serial, so a fixed seed yields a
+// stream; the message simulator is serial, so a fixed seed yields a
 // byte-identical series at any thread count. Like the rest of the
 // telemetry layer the recorder is opt-in and single-threaded.
 #ifndef CANON_TELEMETRY_TIMESERIES_H

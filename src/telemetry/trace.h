@@ -1,11 +1,11 @@
 // Route tracing: per-hop event capture for any lookup in the stack.
 //
-// RingRouter, XorRouter, iterative_lookup and EventSimulator accept an
+// RingRouter, XorRouter, the QueryEngine and MessageSimulator accept an
 // optional RouteTraceSink. When one is attached, every routed lookup emits
 // begin_lookup / on_hop* / end_lookup events carrying the chosen link, how
 // many candidates were evaluated at the hop, the hierarchy level the hop
 // happened at (the depth of the lowest common domain of its endpoints, as
-// computed against the DomainTree), and — in the event simulator — the
+// computed against the DomainTree), and — in the message simulator — the
 // queueing delay and network latency of the hop. With no sink attached
 // (the default) the instrumented loops pay one pointer test per hop.
 //
@@ -31,12 +31,12 @@ struct HopRecord {
   int hop_index = 0;             ///< 0-based position along the path
   int level = -1;                ///< LCA depth of (from, to); -1 if unknown
   std::uint32_t candidates = 0;  ///< neighbors evaluated at `from`
-  double queue_ms = 0;           ///< time spent queued at `from` (event sim)
-  double hop_ms = 0;             ///< modeled network latency of the hop
+  double queue_ms = 0;           ///< request's wait in `to`'s inbox (sim)
+  double hop_ms = 0;             ///< request plus response link latency (sim)
 };
 
 /// Receiver interface for route traces. Implementations must tolerate
-/// interleaved lookups (the event simulator runs many concurrently) by
+/// interleaved lookups (the message simulator runs many concurrently) by
 /// keying on HopRecord::lookup.
 class RouteTraceSink {
  public:

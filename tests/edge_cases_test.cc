@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "dht/can.h"
 #include "dht/chord.h"
-#include "overlay/event_sim.h"
 #include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "overlay/metrics.h"
@@ -76,7 +75,6 @@ TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
        [&](const LinkTable& t) { ResilientCanRouter(net, tree, t); }},
       {"MessageSimulator",
        [&](const LinkTable& t) { MessageSimulator(net, t); }},
-      {"EventSimulator", [&](const LinkTable& t) { EventSimulator(net, t); }},
   };
   for (const auto& [name, make] : constructors) {
     EXPECT_THROW(make(foreign), std::invalid_argument) << name;

@@ -1,5 +1,5 @@
 // Tests for the JSONL event journal: the envelope/sequence contract, the
-// DynamicCrescendo and EventSimulator emitters, and the churn acceptance
+// DynamicCrescendo and MessageSimulator emitters, and the churn acceptance
 // property — a journaled churn run replays to the same healthy verdict as
 // a from-scratch audit.
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "hierarchy/generators.h"
 #include "maintenance/dynamic_crescendo.h"
-#include "overlay/event_sim.h"
+#include "overlay/message_sim.h"
 #include "overlay/population.h"
 #include "telemetry/journal.h"
 
@@ -119,7 +119,7 @@ TEST(Journal, DynamicCrescendoEmitsJoinLeaveRepair) {
   EXPECT_EQ(events[5].get("cause")->as_string(), "leave");
 }
 
-TEST(Journal, EventSimEmitsLookupFailures) {
+TEST(Journal, MessageSimEmitsLookupFailures) {
   // A network with a single stripped node cannot complete a lookup for a
   // key owned elsewhere... every node keeps only itself, so any lookup for
   // a key another node owns terminates unsuccessfully at the origin.
@@ -131,10 +131,12 @@ TEST(Journal, EventSimEmitsLookupFailures) {
   const OverlayNetwork net(space, std::move(nodes));
   LinkTable links(2);
   links.finalize();  // no links at all
-  EventSimulator sim(net, links);
+  MessageSimulator sim(net, links);
   std::ostringstream os;
   EventJournal journal(os);
-  sim.set_journal(&journal);
+  SimSinks sinks;
+  sinks.journal = &journal;
+  sim.attach(sinks);
   sim.submit(0, 201, 0.0);  // responsible node is index 1; unreachable
   sim.run();
   ASSERT_FALSE(sim.lookups()[0].ok);
@@ -166,7 +168,7 @@ TEST(Journal, LoadSnapshotEmitsTopNodes) {
   EXPECT_EQ(nodes->items()[1].get("node")->as_int(), 0);
 }
 
-TEST(Journal, EventSimLoadSnapshotsAreDeterministic) {
+TEST(Journal, MessageSimLoadSnapshotsAreDeterministic) {
   // Two identical simulator runs must journal byte-identical load
   // snapshots: windows land at fixed multiples of the snapshot window and
   // the serial simulator's load tallies are a pure function of the seed.
@@ -178,11 +180,14 @@ TEST(Journal, EventSimLoadSnapshotsAreDeterministic) {
     spec.hierarchy.fanout = 4;
     const OverlayNetwork net = make_population(spec, rng);
     const LinkTable links = build_crescendo(net);
-    EventSimulator sim(net, links);
+    MessageSimulator sim(net, links);
     std::ostringstream os;
     EventJournal journal(os);
-    sim.set_journal(&journal);
-    sim.set_load_snapshots(/*top_k=*/3, /*window_ms=*/10.0);
+    SimSinks sinks;
+    sinks.journal = &journal;
+    sinks.snapshot_top_k = 3;
+    sinks.snapshot_window_ms = 10.0;
+    sim.attach(sinks);
     Rng qrng(5);
     for (int i = 0; i < 400; ++i) {
       sim.submit(static_cast<std::uint32_t>(qrng.uniform(net.size())),
