@@ -116,15 +116,14 @@ class BenchRun {
     // are byte-identical at every --threads and --batch-width, and at
     // every --grain up to float-summation order (see query_grain() in
     // overlay/query_engine.h); check_json_schema.py strips all three from
-    // compared reports. Parsed into one RunOptions so a bench passes the
-    // same bag to engine.run()/run_resilient() that was applied here.
-    opts_.threads = static_cast<int>(flag_u64(argc, argv, "threads", 0));
-    opts_.grain =
-        static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0));
-    opts_.batch_width = static_cast<int>(flag_u64(
+    // compared reports.
+    set_parallel_threads(
+        static_cast<int>(flag_u64(argc, argv, "threads", 0)));
+    set_query_grain(
+        static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0)));
+    set_probe_batch_width(static_cast<int>(flag_u64(
         argc, argv, "batch-width",
-        static_cast<std::uint64_t>(kDefaultProbeBatchWidth)));
-    opts_.apply();
+        static_cast<std::uint64_t>(kDefaultProbeBatchWidth))));
     record("threads", std::to_string(parallel_threads()),
            telemetry::JsonValue(
                static_cast<std::int64_t>(parallel_threads())));
@@ -135,11 +134,6 @@ class BenchRun {
            telemetry::JsonValue(
                static_cast<std::int64_t>(probe_batch_width())));
   }
-
-  /// The execution knobs parsed from the standard flags (already applied
-  /// process-wide by the constructor). Copy it to add a per-run fault
-  /// plan or trace sink before handing it to the engine.
-  const RunOptions& run_options() const { return opts_; }
 
   BenchRun(const BenchRun&) = delete;
   BenchRun& operator=(const BenchRun&) = delete;
@@ -223,7 +217,6 @@ class BenchRun {
 
   int argc_;
   char** argv_;
-  RunOptions opts_;
   std::string json_path_;
   telemetry::BenchReport report_;
   telemetry::MetricsRegistry registry_;

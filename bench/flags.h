@@ -4,14 +4,19 @@
 //
 // Flags are "--name=value" (a bare "--name" is the empty string, which
 // flag_bool treats as true). Unknown flags are ignored by these helpers;
-// binaries that want strictness can enumerate argv themselves.
+// binaries that want strictness can enumerate argv themselves. A numeric
+// value must parse whole: a sign, trailing garbage or overflow prints
+// "bad value for --<name>: '<value>'" to stderr and exits 2.
 #ifndef CANON_BENCH_FLAGS_H
 #define CANON_BENCH_FLAGS_H
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 namespace canon::bench {
 
@@ -36,17 +41,38 @@ inline bool flag_present(int argc, char** argv, const char* name) {
   return flag_raw(argc, argv, name) != nullptr;
 }
 
-/// Parses "--name=value" from argv; returns `fallback` if absent.
+/// Parses all of `v` into `out` with std::from_chars, refusing a leading
+/// sign; on failure reports the flag and exits 2.
+template <typename T>
+void parse_flag_value(const char* name, const char* v, T& out) {
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, out);
+  if (*v == '-' || ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", name, v);
+    std::exit(2);
+  }
+}
+
+/// Parses "--name=value" as an unsigned decimal; returns `fallback` if the
+/// flag is absent or bare.
 inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
                               std::uint64_t fallback) {
   const char* v = flag_raw(argc, argv, name);
-  return (v && *v) ? std::strtoull(v, nullptr, 10) : fallback;
+  if (!v || !*v) return fallback;
+  std::uint64_t out = 0;
+  parse_flag_value(name, v, out);
+  return out;
 }
 
+/// Parses "--name=value" as a non-negative decimal or scientific number;
+/// returns `fallback` if the flag is absent or bare.
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
   const char* v = flag_raw(argc, argv, name);
-  return (v && *v) ? std::strtod(v, nullptr) : fallback;
+  if (!v || !*v) return fallback;
+  double out = 0;
+  parse_flag_value(name, v, out);
+  return out;
 }
 
 inline std::string flag_str(int argc, char** argv, const char* name,

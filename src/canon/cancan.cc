@@ -125,31 +125,18 @@ template <typename FaultPolicy>
 NodeIndex stage_target(const CanCanZones& zones, int d, NodeId key,
                        const FaultPolicy& faults) {
   const NodeIndex structural = zones.tree(d).owner_of(key);
-  if constexpr (!FaultPolicy::kActive) {
-    return structural;
-  } else {
-    if (!faults.dead.dead(structural)) return structural;
-    const OverlayNetwork& net = zones.net();
-    const IdSpace& space = net.space();
-    NodeIndex best = RingView::kNone;
-    std::uint64_t best_d = 0;
-    for (const NodeIndex m : net.domains().domain(d).members) {
-      if (faults.dead.dead(m)) continue;
-      const std::uint64_t dist = space.xor_distance(net.id(m), key);
-      if (best == RingView::kNone || dist < best_d) {
-        best = m;
-        best_d = dist;
-      }
+  if constexpr (FaultPolicy::kActive) {
+    if (faults.dead.dead(structural)) {
+      return detail::live_xor_closest(
+          zones.net(), zones.net().domains().domain(d).members, key,
+          faults.dead);
     }
-    if (best == RingView::kNone) {
-      throw std::logic_error("live_stage_owner: stage domain has no live node");
-    }
-    return best;
   }
+  return structural;
 }
 
-/// The one Can-Can walk behind CanCanRouter (NoFaults) and
-/// ResilientCanCanRouter (Faults): stage by stage, greedy prefix-match
+/// The one Can-Can walk behind CanCanRouter's plain (NoFaults) and faulty
+/// (Faults) overloads: stage by stage, greedy prefix-match
 /// growth within the stage domain's partition until the stage target,
 /// then a lift to the parent domain. Under Faults it skips dead and banned
 /// neighbors and retries dropped forwards. fallback_hops counts hops taken
@@ -202,8 +189,8 @@ ResilientProbe cancan_walk(const CanCanZones& zones, const LinkTable& links,
     const auto row = links.neighbors(current);
     int attempts = 0;
     if constexpr (kFaults) {
-      faults.banned.clear();
-      attempts = faults.retry_budget;
+      faults.scratch.banned.clear();
+      attempts = kRetryBudget;
     }
     for (;;) {  // per-hop retry ladder
       NodeIndex best = current;
@@ -242,7 +229,7 @@ ResilientProbe cancan_walk(const CanCanZones& zones, const LinkTable& links,
       if (best == current) return p;  // stuck
       if constexpr (kFaults) {
         if (faults.drops.drop()) {
-          faults.banned.push_back(best);
+          faults.scratch.banned.push_back(best);
           ++p.retries;
           if (--attempts <= 0) return p;  // lost
           continue;
@@ -294,6 +281,31 @@ RouteProbe CanCanRouter::probe(std::uint32_t from, NodeId key) const {
   return cancan_walk(*zones_, *links_, max_hops_, from, key,
                      detail::NoFaults{}, detail::NullRecorder{})
       .to_probe();
+}
+
+ResilientProbe CanCanRouter::route_into(std::uint32_t from, NodeId key,
+                                        const FailureSet& dead,
+                                        DropRoller& drops,
+                                        FaultScratch& scratch,
+                                        Route& out) const {
+  out.path.assign(1, from);
+  const ResilientProbe p = detail::with_faults(
+      from, {dead, drops, scratch}, "CanCanRouter", [&](const auto& faults) {
+        return cancan_walk(*zones_, *links_, max_hops_, from, key, faults,
+                           detail::PathRecorder{&out.path});
+      });
+  out.ok = p.ok;
+  return p;
+}
+
+ResilientProbe CanCanRouter::probe(std::uint32_t from, NodeId key,
+                                   const FailureSet& dead, DropRoller& drops,
+                                   FaultScratch& scratch) const {
+  return detail::with_faults(
+      from, {dead, drops, scratch}, "CanCanRouter", [&](const auto& faults) {
+        return cancan_walk(*zones_, *links_, max_hops_, from, key, faults,
+                           detail::NullRecorder{});
+      });
 }
 
 StepResult CanCanRouter::step(std::uint32_t at, NodeId key,
@@ -350,58 +362,6 @@ StepResult CanCanRouter::step(std::uint32_t at, NodeId key,
   state = (static_cast<std::uint64_t>(at) + 1) << 32 |
           static_cast<std::uint64_t>(stage + 1);
   return {top.emit(out), false, false};
-}
-
-ResilientCanCanRouter::ResilientCanCanRouter(const CanCanZones& zones,
-                                             const LinkTable& links,
-                                             int retry_budget)
-    : zones_(&zones),
-      links_(&links),
-      retry_budget_(retry_budget),
-      max_hops_(max_hops_for(zones.net().space().bits())) {
-  require_routable(zones.net(), links, "ResilientCanCanRouter");
-  if (retry_budget < 1) {
-    throw std::invalid_argument("ResilientCanCanRouter: retry budget < 1");
-  }
-}
-
-template <typename Recorder>
-ResilientProbe ResilientCanCanRouter::core(std::uint32_t from, NodeId key,
-                                           const FailureSet& dead,
-                                           DropRoller& drops, Scratch& scratch,
-                                           Recorder&& record) const {
-  if (dead.dead(from)) {
-    throw std::invalid_argument("ResilientCanCanRouter: source is dead");
-  }
-  if (!dead.any() && !drops.active()) {
-    return cancan_walk(*zones_, *links_, max_hops_, from, key,
-                       detail::NoFaults{}, record);
-  }
-  const detail::Faults faults{dead,    drops, scratch.banned, nullptr, 0,
-                              retry_budget_};
-  return cancan_walk(*zones_, *links_, max_hops_, from, key, faults, record);
-}
-
-ResilientProbe ResilientCanCanRouter::route_into(std::uint32_t from,
-                                                 NodeId key,
-                                                 const FailureSet& dead,
-                                                 DropRoller& drops,
-                                                 Scratch& scratch,
-                                                 Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-  const ResilientProbe p =
-      core(from, key, dead, drops, scratch, detail::PathRecorder{&out.path});
-  out.ok = p.ok;
-  return p;
-}
-
-ResilientProbe ResilientCanCanRouter::probe(std::uint32_t from, NodeId key,
-                                            const FailureSet& dead,
-                                            DropRoller& drops,
-                                            Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, detail::NullRecorder{});
 }
 
 }  // namespace canon

@@ -103,7 +103,11 @@ class CanCanNetwork {
 
 /// Staged greedy router over a Can-Can link table (see file comment).
 /// Follows the hot-path contract of overlay/routing.h: route_into() and
-/// probe() allocate nothing and record nothing. route() additionally
+/// probe() allocate nothing and record nothing. The faulty overloads run
+/// the stage walk over live neighbors, with per-stage zone takeover (a dead
+/// stage owner is replaced by the live stage member XOR-closest to the key
+/// — every stage domain contains the live source, so a takeover always
+/// exists) and the per-hop drop-retry ladder of the other routers. route() additionally
 /// reports `stuck_count` across its lifetime: routes that dead-ended. The
 /// counts are atomic so concurrent route() calls on one const router stay
 /// race-free; they are diagnostics, not part of the deterministic
@@ -124,6 +128,15 @@ class CanCanRouter {
   Route route(std::uint32_t from, NodeId key) const;
   void route_into(std::uint32_t from, NodeId key, Route& out) const;
   RouteProbe probe(std::uint32_t from, NodeId key) const;
+
+  /// Faulty overloads (see the class comment): ok iff the walk finished
+  /// the root partition at the key's live owner. They leave the route()
+  /// diagnostics untouched.
+  ResilientProbe route_into(std::uint32_t from, NodeId key,
+                            const FailureSet& dead, DropRoller& drops,
+                            FaultScratch& scratch, Route& out) const;
+  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
+                       DropRoller& drops, FaultScratch& scratch) const;
 
   /// One resumable hop (overlay/stepper.h). `state` packs the stage
   /// domain plus the previously visited node:
@@ -150,45 +163,6 @@ class CanCanRouter {
   int max_hops_;
   mutable std::atomic<std::size_t> stuck_{0};
   mutable std::atomic<std::size_t> fallback_{0};
-};
-
-/// Failure-aware staged routing over a Can-Can link table: the plain stage
-/// walk restricted to live neighbors, with per-stage zone takeover (a dead
-/// stage owner is replaced by the live stage member XOR-closest to the
-/// key — every stage domain contains the live source, so a takeover
-/// always exists) and the per-hop drop-retry ladder shared by the other
-/// resilient cores. Follows the hot-path contract of overlay/routing.h.
-class ResilientCanCanRouter {
- public:
-  ResilientCanCanRouter(const CanCanZones& zones, const LinkTable& links,
-                        int retry_budget = kRetryBudget);
-  explicit ResilientCanCanRouter(const CanCanNetwork& network,
-                                 int retry_budget = kRetryBudget)
-      : ResilientCanCanRouter(network.zones(), network.links(),
-                              retry_budget) {}
-
-  struct Scratch {
-    std::vector<std::uint32_t> banned;  ///< candidates dropped this hop
-  };
-
-  /// ok iff the walk finished the root partition at the key's live owner.
-  /// Throws std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
-
- private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
-  const CanCanZones* zones_;
-  const LinkTable* links_;
-  int retry_budget_;
-  int max_hops_;
 };
 
 }  // namespace canon

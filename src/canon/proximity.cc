@@ -290,19 +290,33 @@ struct GroupOrder {
   }
 };
 
-/// The one group walk behind GroupRouter (NoFaults) and ResilientGroupRouter
-/// (Faults): greedy in GroupOrder into `target`'s group, then one hop over
-/// that group's clique to `target` (the key's responsible node, or its live
-/// stand-in under Faults). Under Faults it vetoes dead and banned
-/// candidates and retries dropped forwards; the clique hop has a single
-/// receiver, so it retransmits instead of banning it.
+/// `node`, or when it is dead its closest live predecessor on the global
+/// ring (node indices are ring positions).
+NodeIndex live_or_predecessor(NodeIndex node, std::size_t n,
+                              const FailureSet& dead) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto candidate = static_cast<NodeIndex>((node + n - i) % n);
+    if (!dead.dead(candidate)) return candidate;
+  }
+  throw std::logic_error("live_responsible: everyone is dead");
+}
+
+/// The one group walk behind GroupRouter's plain (NoFaults) and faulty
+/// (Faults) overloads: greedy in GroupOrder into the target's group, then
+/// one hop over that group's clique to the target — the key's responsible
+/// node, or under Faults its live stand-in. Under Faults it vetoes dead and
+/// banned candidates and retries dropped forwards; the clique hop has a
+/// single receiver, so it retransmits instead of banning it.
 template <typename FaultPolicy, typename Recorder>
 ResilientProbe group_walk(const OverlayNetwork& net,
                           const GroupedOverlay& groups, const LinkTable& links,
                           int max_hops, NodeIndex from, NodeId key,
-                          NodeIndex target, const FaultPolicy& faults,
-                          Recorder&& record) {
+                          const FaultPolicy& faults, Recorder&& record) {
   constexpr bool kFaults = FaultPolicy::kActive;
+  NodeIndex target = groups.responsible(key);
+  if constexpr (kFaults) {
+    target = live_or_predecessor(target, net.size(), faults.dead);
+  }
   const NodeId target_gid = groups.gid_of_node(target);
   ResilientProbe p{from, 0, false, 0, 0};
   for (int step = 0; step < max_hops; ++step) {
@@ -319,8 +333,8 @@ ResilientProbe group_walk(const OverlayNetwork& net,
     const NodeId* ids = detail::row_ids(links, current);
     int attempts = 0;
     if constexpr (kFaults) {
-      faults.banned.clear();
-      attempts = faults.retry_budget;
+      faults.scratch.banned.clear();
+      attempts = kRetryBudget;
     }
     NodeIndex next = target;
     for (;;) {  // per-hop retry ladder
@@ -338,7 +352,7 @@ ResilientProbe group_walk(const OverlayNetwork& net,
         if (faults.drops.drop()) {
           ++p.retries;
           if (--attempts <= 0) return p;  // lost
-          if (!clique_hop) faults.banned.push_back(next);
+          if (!clique_hop) faults.scratch.banned.push_back(next);
           continue;
         }
       }
@@ -429,40 +443,6 @@ struct GroupLane {
   }
 };
 
-/// `node`, or when it is dead its closest live predecessor on the global
-/// ring (node indices are ring positions).
-NodeIndex live_or_predecessor(NodeIndex node, std::size_t n,
-                              const FailureSet& dead) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto candidate = static_cast<NodeIndex>((node + n - i) % n);
-    if (!dead.dead(candidate)) return candidate;
-  }
-  throw std::logic_error("live_responsible: everyone is dead");
-}
-
-/// ResilientGroupRouter's body: the source check, then the fault-free walk
-/// when nothing is injected (so the zero-fault route is the plain
-/// router's) and otherwise the faulty walk towards the live responsible.
-template <typename Recorder>
-ResilientProbe resilient_group_walk(const OverlayNetwork& net,
-                                    const GroupedOverlay& groups,
-                                    const LinkTable& links, int max_hops,
-                                    NodeIndex from, NodeId key,
-                                    const detail::Faults& faults,
-                                    Recorder&& record) {
-  if (faults.dead.dead(from)) {
-    throw std::invalid_argument("ResilientGroupRouter: source is dead");
-  }
-  const NodeIndex responsible = groups.responsible(key);
-  if (!faults.dead.any() && !faults.drops.active()) {
-    return group_walk(net, groups, links, max_hops, from, key, responsible,
-                      detail::NoFaults{}, record);
-  }
-  return group_walk(net, groups, links, max_hops, from, key,
-                    live_or_predecessor(responsible, net.size(), faults.dead),
-                    faults, record);
-}
-
 }  // namespace
 
 GroupRouter::GroupRouter(const OverlayNetwork& net,
@@ -484,16 +464,39 @@ void GroupRouter::route_into(std::uint32_t from, NodeId key,
                              Route& out) const {
   out.path.assign(1, from);
   out.ok = group_walk(*net_, *groups_, *links_, max_hops_, from, key,
-                      groups_->responsible(key), detail::NoFaults{},
-                      detail::PathRecorder{&out.path})
+                      detail::NoFaults{}, detail::PathRecorder{&out.path})
                .ok;
 }
 
 RouteProbe GroupRouter::probe(std::uint32_t from, NodeId key) const {
   return group_walk(*net_, *groups_, *links_, max_hops_, from, key,
-                    groups_->responsible(key), detail::NoFaults{},
-                    detail::NullRecorder{})
+                    detail::NoFaults{}, detail::NullRecorder{})
       .to_probe();
+}
+
+ResilientProbe GroupRouter::route_into(std::uint32_t from, NodeId key,
+                                       const FailureSet& dead,
+                                       DropRoller& drops,
+                                       FaultScratch& scratch,
+                                       Route& out) const {
+  out.path.assign(1, from);
+  const ResilientProbe p = detail::with_faults(
+      from, {dead, drops, scratch}, "GroupRouter", [&](const auto& faults) {
+        return group_walk(*net_, *groups_, *links_, max_hops_, from, key,
+                          faults, detail::PathRecorder{&out.path});
+      });
+  out.ok = p.ok;
+  return p;
+}
+
+ResilientProbe GroupRouter::probe(std::uint32_t from, NodeId key,
+                                  const FailureSet& dead, DropRoller& drops,
+                                  FaultScratch& scratch) const {
+  return detail::with_faults(
+      from, {dead, drops, scratch}, "GroupRouter", [&](const auto& faults) {
+        return group_walk(*net_, *groups_, *links_, max_hops_, from, key,
+                          faults, detail::NullRecorder{});
+      });
 }
 
 void GroupRouter::probe_batch(std::span<const Query> queries,
@@ -523,50 +526,6 @@ StepResult GroupRouter::step(std::uint32_t at, NodeId key,
              });
   if (top.count == 0) return {0, true, false};  // stuck
   return {top.emit(out), false, false};
-}
-
-ResilientGroupRouter::ResilientGroupRouter(const OverlayNetwork& net,
-                                           const GroupedOverlay& groups,
-                                           const LinkTable& links,
-                                           int retry_budget)
-    : net_(&net),
-      groups_(&groups),
-      links_(&links),
-      retry_budget_(retry_budget),
-      max_hops_(hop_guard(net)) {
-  require_routable(net, links, "ResilientGroupRouter");
-  if (retry_budget < 1) {
-    throw std::invalid_argument("ResilientGroupRouter: retry budget < 1");
-  }
-}
-
-std::uint32_t ResilientGroupRouter::live_responsible(
-    NodeId key, const FailureSet& dead) const {
-  return live_or_predecessor(groups_->responsible(key), net_->size(), dead);
-}
-
-ResilientProbe ResilientGroupRouter::route_into(std::uint32_t from, NodeId key,
-                                                const FailureSet& dead,
-                                                DropRoller& drops,
-                                                Scratch& scratch,
-                                                Route& out) const {
-  out.path.assign(1, from);
-  const ResilientProbe p = resilient_group_walk(
-      *net_, *groups_, *links_, max_hops_, from, key,
-      {dead, drops, scratch.banned, nullptr, 0, retry_budget_},
-      detail::PathRecorder{&out.path});
-  out.ok = p.ok;
-  return p;
-}
-
-ResilientProbe ResilientGroupRouter::probe(std::uint32_t from, NodeId key,
-                                           const FailureSet& dead,
-                                           DropRoller& drops,
-                                           Scratch& scratch) const {
-  return resilient_group_walk(
-      *net_, *groups_, *links_, max_hops_, from, key,
-      {dead, drops, scratch.banned, nullptr, 0, retry_budget_},
-      detail::NullRecorder{});
 }
 
 }  // namespace canon

@@ -88,6 +88,17 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
 /// Two-phase greedy router for group-based structures: greedy clockwise on
 /// group IDs (never overshooting the responsible group), with ties broken
 /// by clockwise ID progress, then a final intra-group hop.
+///
+/// The faulty overloads run the same walk over live neighbors, aiming at
+/// the live responsible node (a dead responsible's duty falls to its
+/// closest live ring predecessor — the intra-group clique is "necessary
+/// even otherwise for replication and fault tolerance"). There is no
+/// fallback, and fallback_hops stays 0: a live neighbor strictly closer to
+/// the target in (group distance, ID distance) order is exactly a live
+/// neighbor that makes greedy progress, so when the greedy scan finds
+/// none, no sidestep could either. Dropped forwarding attempts retry the
+/// next candidate (the final clique hop retransmits to the same target),
+/// up to kRetryBudget per hop.
 class GroupRouter {
  public:
   GroupRouter(const OverlayNetwork& net, const GroupedOverlay& groups,
@@ -101,6 +112,14 @@ class GroupRouter {
   /// concurrently on one const router.
   void route_into(std::uint32_t from, NodeId key, Route& out) const;
   RouteProbe probe(std::uint32_t from, NodeId key) const;
+
+  /// Faulty overloads (see the class comment): ok iff the terminal is the
+  /// responsible node, or its closest live predecessor when it is dead.
+  ResilientProbe route_into(std::uint32_t from, NodeId key,
+                            const FailureSet& dead, DropRoller& drops,
+                            FaultScratch& scratch, Route& out) const;
+  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
+                       DropRoller& drops, FaultScratch& scratch) const;
 
   /// Interleaved batch probe over the two-phase group walk; see
   /// RingRouter::probe_batch in overlay/routing.h for the contract
@@ -119,47 +138,6 @@ class GroupRouter {
   const OverlayNetwork* net_;
   const GroupedOverlay* groups_;
   const LinkTable* links_;
-  int max_hops_;
-};
-
-/// Failure-aware two-phase group routing: GroupRouter's walk restricted to
-/// live neighbors, aiming at the live responsible node (a dead
-/// responsible's duty falls to its closest live ring predecessor — the
-/// intra-group clique is "necessary even otherwise for replication and
-/// fault tolerance"). There is no fallback, and fallback_hops stays 0: a
-/// live neighbor strictly closer to the target in (group distance, ID
-/// distance) order is exactly a live neighbor that makes greedy progress,
-/// so when the greedy scan finds none, no sidestep could either. Dropped
-/// forwarding attempts retry the next candidate (the final clique hop
-/// retransmits to the same target), up to `retry_budget` per hop.
-/// Hot-path contract of overlay/routing.h.
-class ResilientGroupRouter {
- public:
-  ResilientGroupRouter(const OverlayNetwork& net, const GroupedOverlay& groups,
-                       const LinkTable& links,
-                       int retry_budget = kRetryBudget);
-
-  struct Scratch {
-    std::vector<std::uint32_t> banned;  ///< candidates dropped this hop
-  };
-
-  /// ok iff the terminal is live_responsible(key). Throws
-  /// std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
-
-  /// The group-responsible node for `key`, or — when it is dead — its
-  /// closest live predecessor on the global ring.
-  std::uint32_t live_responsible(NodeId key, const FailureSet& dead) const;
-
- private:
-  const OverlayNetwork* net_;
-  const GroupedOverlay* groups_;
-  const LinkTable* links_;
-  int retry_budget_;
   int max_hops_;
 };
 

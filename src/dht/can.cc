@@ -213,21 +213,28 @@ void require_whole_network(const OverlayNetwork& net, const ZoneTree& tree,
   }
 }
 
-/// The one CAN walk behind CanRouter (NoFaults) and ResilientCanRouter
-/// (Faults): bit-fixing towards `target` (the key's owner, or its live
-/// takeover under Faults). Under Faults it skips dead, banned and visited
-/// neighbors, sidesteps through the live-face fallback, and retries
-/// dropped forwards; `visited` is then the walk's cycle guard.
+/// The one CAN walk behind CanRouter's plain (NoFaults) and faulty
+/// (Faults) overloads: bit-fixing towards the key's owner, or under Faults
+/// its live takeover when the owner is dead. Under Faults it skips dead,
+/// banned and visited neighbors, sidesteps through the live-face fallback,
+/// and retries dropped forwards; the scratch's `visited` is then the
+/// walk's cycle guard.
 template <typename FaultPolicy, typename Recorder>
 ResilientProbe can_walk(const OverlayNetwork& net, const ZoneTree& tree,
                         const LinkTable& links, int max_hops,
-                        NodeIndex from, NodeId key, NodeIndex target,
-                        const FaultPolicy& faults,
-                        std::vector<NodeIndex>* visited, Recorder&& record) {
+                        NodeIndex from, NodeId key, const FaultPolicy& faults,
+                        Recorder&& record) {
   constexpr bool kFaults = FaultPolicy::kActive;
   const IdSpace& space = net.space();
+  NodeIndex target = tree.owner_of(key);
+  if constexpr (kFaults) {
+    if (faults.dead.dead(target)) {
+      target = detail::live_xor_closest(net, net.ring().members(), key,
+                                        faults.dead);
+    }
+    faults.scratch.visited.clear();
+  }
   ResilientProbe p{from, 0, false, 0, 0};
-  if constexpr (kFaults) visited->clear();
   const auto banned = [&](NodeIndex nb) {
     if constexpr (kFaults) return faults.banned_node(nb);
     return false;
@@ -235,7 +242,8 @@ ResilientProbe can_walk(const OverlayNetwork& net, const ZoneTree& tree,
   const auto usable = [&](NodeIndex nb) {
     if constexpr (kFaults) {
       return !faults.dead.dead(nb) && !banned(nb) &&
-             std::ranges::find(*visited, nb) == visited->end();
+             std::ranges::find(faults.scratch.visited, nb) ==
+                 faults.scratch.visited.end();
     }
     return true;
   };
@@ -249,8 +257,8 @@ ResilientProbe can_walk(const OverlayNetwork& net, const ZoneTree& tree,
     const auto row = links.neighbors(current);
     int attempts = 0;
     if constexpr (kFaults) {
-      faults.banned.clear();
-      attempts = faults.retry_budget;
+      faults.scratch.banned.clear();
+      attempts = kRetryBudget;
     }
     for (;;) {  // per-hop retry ladder
       // The plain bit-fixing scan: the first neighbor with the longest
@@ -289,13 +297,13 @@ ResilientProbe can_walk(const OverlayNetwork& net, const ZoneTree& tree,
       if (best == current) return p;  // stuck
       if constexpr (kFaults) {
         if (faults.drops.drop()) {
-          faults.banned.push_back(best);
+          faults.scratch.banned.push_back(best);
           ++p.retries;
           if (--attempts <= 0) return p;  // lost
           continue;
         }
         p.fallback_hops += via_fallback;
-        visited->push_back(best);
+        faults.scratch.visited.push_back(best);
       }
       p.terminal = best;
       ++p.hops;
@@ -325,19 +333,39 @@ Route CanRouter::route(std::uint32_t from, NodeId key) const {
 }
 
 void CanRouter::route_into(std::uint32_t from, NodeId key, Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
+  out.path.assign(1, from);
   out.ok = can_walk(*net_, *tree_, *links_, max_hops_, from, key,
-                    tree_->owner_of(key), detail::NoFaults{}, nullptr,
-                    detail::PathRecorder{&out.path})
+                    detail::NoFaults{}, detail::PathRecorder{&out.path})
                .ok;
 }
 
 RouteProbe CanRouter::probe(std::uint32_t from, NodeId key) const {
   return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
-                  tree_->owner_of(key), detail::NoFaults{}, nullptr,
-                  detail::NullRecorder{})
+                  detail::NoFaults{}, detail::NullRecorder{})
       .to_probe();
+}
+
+ResilientProbe CanRouter::route_into(std::uint32_t from, NodeId key,
+                                     const FailureSet& dead, DropRoller& drops,
+                                     FaultScratch& scratch, Route& out) const {
+  out.path.assign(1, from);
+  const ResilientProbe p = detail::with_faults(
+      from, {dead, drops, scratch}, "CanRouter", [&](const auto& faults) {
+        return can_walk(*net_, *tree_, *links_, max_hops_, from, key, faults,
+                        detail::PathRecorder{&out.path});
+      });
+  out.ok = p.ok;
+  return p;
+}
+
+ResilientProbe CanRouter::probe(std::uint32_t from, NodeId key,
+                                const FailureSet& dead, DropRoller& drops,
+                                FaultScratch& scratch) const {
+  return detail::with_faults(
+      from, {dead, drops, scratch}, "CanRouter", [&](const auto& faults) {
+        return can_walk(*net_, *tree_, *links_, max_hops_, from, key, faults,
+                        detail::NullRecorder{});
+      });
 }
 
 StepResult CanRouter::step(std::uint32_t at, NodeId key,
@@ -356,83 +384,6 @@ StepResult CanRouter::step(std::uint32_t at, NodeId key,
   }
   if (top.count == 0) return {0, true, false};  // stuck
   return {top.emit(out), false, false};
-}
-
-ResilientCanRouter::ResilientCanRouter(const OverlayNetwork& net,
-                                       const ZoneTree& tree,
-                                       const LinkTable& links,
-                                       int retry_budget)
-    : net_(&net),
-      tree_(&tree),
-      links_(&links),
-      retry_budget_(retry_budget),
-      max_hops_(hop_guard(net)) {
-  require_routable(net, links, "ResilientCanRouter");
-  require_whole_network(net, tree, "ResilientCanRouter");
-  if (retry_budget < 1) {
-    throw std::invalid_argument("ResilientCanRouter: retry budget < 1");
-  }
-}
-
-std::uint32_t ResilientCanRouter::live_owner(NodeId key,
-                                             const FailureSet& dead) const {
-  const std::uint32_t structural = tree_->owner_of(key);
-  if (!dead.dead(structural)) return structural;
-  const IdSpace& space = net_->space();
-  std::uint32_t best = RingView::kNone;
-  std::uint64_t best_d = 0;
-  for (std::uint32_t i = 0; i < net_->size(); ++i) {
-    if (dead.dead(i)) continue;
-    const std::uint64_t d = space.xor_distance(net_->id(i), key);
-    if (best == RingView::kNone || d < best_d) {
-      best = i;
-      best_d = d;
-    }
-  }
-  if (best == RingView::kNone) {
-    throw std::logic_error("live_owner: everyone is dead");
-  }
-  return best;
-}
-
-template <typename Recorder>
-ResilientProbe ResilientCanRouter::core(std::uint32_t from, NodeId key,
-                                        const FailureSet& dead,
-                                        DropRoller& drops, Scratch& scratch,
-                                        Recorder&& record) const {
-  if (dead.dead(from)) {
-    throw std::invalid_argument("ResilientCanRouter: source is dead");
-  }
-  if (!dead.any() && !drops.active()) {
-    return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
-                    tree_->owner_of(key), detail::NoFaults{}, nullptr,
-                    record);
-  }
-  const detail::Faults faults{dead,    drops, scratch.banned, nullptr, 0,
-                              retry_budget_};
-  return can_walk(*net_, *tree_, *links_, max_hops_, from, key,
-                  live_owner(key, dead), faults, &scratch.visited, record);
-}
-
-ResilientProbe ResilientCanRouter::route_into(std::uint32_t from, NodeId key,
-                                              const FailureSet& dead,
-                                              DropRoller& drops,
-                                              Scratch& scratch,
-                                              Route& out) const {
-  out.path.clear();
-  out.path.push_back(from);
-  out.ok = false;
-  const ResilientProbe p =
-      core(from, key, dead, drops, scratch, detail::PathRecorder{&out.path});
-  out.ok = p.ok;
-  return p;
-}
-
-ResilientProbe ResilientCanRouter::probe(std::uint32_t from, NodeId key,
-                                         const FailureSet& dead,
-                                         DropRoller& drops,
-                                         Scratch& scratch) const {
-  return core(from, key, dead, drops, scratch, detail::NullRecorder{});
 }
 
 }  // namespace canon

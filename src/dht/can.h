@@ -144,6 +144,15 @@ CanNetwork build_can(const OverlayNetwork& net);
 /// grow (the key's zone may be a short empty-sibling block). Terminates at
 /// the owner of the key's zone. Follows the hot-path contract of
 /// overlay/routing.h; route() records no telemetry.
+///
+/// The faulty overloads run the same walk over live neighbors with two
+/// recovery mechanisms. (1) Zone takeover: when the key's owner is dead,
+/// the live member XOR-closest to the key is the target (CAN's
+/// neighbor-takeover rule collapsed onto a static simulation). (2)
+/// Live-face fallback: when no live neighbor grows the prefix match, the
+/// query sidesteps to an unvisited live neighbor strictly XOR-closer to the
+/// key. Dropped forwarding attempts retry the next candidate, up to
+/// kRetryBudget per hop.
 class CanRouter {
  public:
   /// `tree` must partition all of `net`'s nodes (build_can's tree).
@@ -153,6 +162,14 @@ class CanRouter {
   Route route(std::uint32_t from, NodeId key) const;
   void route_into(std::uint32_t from, NodeId key, Route& out) const;
   RouteProbe probe(std::uint32_t from, NodeId key) const;
+
+  /// Faulty overloads (see the class comment): ok iff the terminal is the
+  /// key's owner, or its live takeover when the owner is dead.
+  ResilientProbe route_into(std::uint32_t from, NodeId key,
+                            const FailureSet& dead, DropRoller& drops,
+                            FaultScratch& scratch, Route& out) const;
+  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
+                       DropRoller& drops, FaultScratch& scratch) const;
 
   /// One resumable hop (overlay/stepper.h): candidates that grow the
   /// prefix match, longest match first, else the key's owner when it is a
@@ -164,51 +181,6 @@ class CanRouter {
   const OverlayNetwork* net_;
   const ZoneTree* tree_;
   const LinkTable* links_;
-  int max_hops_;
-};
-
-/// Failure-aware CAN routing: the plain bit-fixing walk over live
-/// neighbors, with two recovery mechanisms. (1) Zone takeover: when the
-/// key's owner is dead, the live member XOR-closest to the key is the
-/// target (CAN's neighbor-takeover rule collapsed onto a static
-/// simulation). (2) Live-face fallback: when no live neighbor grows the
-/// prefix match, the query sidesteps to an unvisited live neighbor
-/// strictly XOR-closer to the key. Dropped forwarding attempts retry the
-/// next candidate, up to `retry_budget` per hop. Follows the hot-path
-/// contract of overlay/routing.h (no telemetry, shareable const state).
-class ResilientCanRouter {
- public:
-  /// `tree` must partition all of `net`'s nodes (build_can's tree).
-  ResilientCanRouter(const OverlayNetwork& net, const ZoneTree& tree,
-                     const LinkTable& links, int retry_budget = kRetryBudget);
-
-  struct Scratch {
-    std::vector<std::uint32_t> banned;   ///< candidates dropped this hop
-    std::vector<std::uint32_t> visited;  ///< fallback cycle guard
-  };
-
-  /// ok iff the terminal is the key's live owner (see live_owner). Throws
-  /// std::invalid_argument on a dead source.
-  ResilientProbe route_into(std::uint32_t from, NodeId key,
-                            const FailureSet& dead, DropRoller& drops,
-                            Scratch& scratch, Route& out) const;
-  ResilientProbe probe(std::uint32_t from, NodeId key, const FailureSet& dead,
-                       DropRoller& drops, Scratch& scratch) const;
-
-  /// The key's zone owner, or — when it is dead — the live member
-  /// XOR-closest to the key (the takeover rule).
-  std::uint32_t live_owner(NodeId key, const FailureSet& dead) const;
-
- private:
-  template <typename Recorder>
-  ResilientProbe core(std::uint32_t from, NodeId key, const FailureSet& dead,
-                      DropRoller& drops, Scratch& scratch,
-                      Recorder&& record) const;
-
-  const OverlayNetwork* net_;
-  const ZoneTree* tree_;
-  const LinkTable* links_;
-  int retry_budget_;
   int max_hops_;
 };
 

@@ -18,7 +18,6 @@
 #include "dht/kademlia.h"
 #include "dht/nondet_chord.h"
 #include "dht/symphony.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 
 namespace canon::registry {
@@ -83,101 +82,70 @@ LinkTable build_crescendo_prox_hook(const OverlayNetwork& net, Rng& rng) {
 // ---------------------------------------------------------------------------
 // make_router hooks
 //
-// Each state struct owns the concrete plain + resilient routers (and any
-// auxiliary structure they index); both batch closures share it. The
-// greedy cores stay fully template-typed inside the one std::function call
-// per batch.
+// Each state struct owns the family's one router (and any auxiliary
+// structure it indexes); the three batch closures share it. The router's
+// plain and faulty walks stay fully template-typed inside the one
+// std::function call per batch, and engine.run() picks up an interleaved
+// probe_batch kernel transparently where the router has one
+// (Ring/Xor/Group).
 
 template <typename State>
 FamilyRouter wrap(std::shared_ptr<const State> state) {
   FamilyRouter r;
   r.run_fn = [state](const QueryEngine& engine, std::span<const Query> q,
                      std::vector<RouteProbe>* per_query) {
-    return state->run(engine, q, per_query);
+    return engine.run(q, state->router, per_query);
   };
   r.resilient_fn = [state](const QueryEngine& engine,
                            std::span<const Query> q, const FaultPlan& plan,
                            std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient(q, state->resilient, plan, per_query);
+    return engine.run_resilient(q, state->router, plan, per_query);
   };
   r.resilient_with_fn = [state](const QueryEngine& engine,
                                 std::span<const Query> q,
                                 const FailureSet& dead, const FaultPlan& plan,
                                 std::vector<RouteProbe>* per_query) {
-    return engine.run_resilient_with(q, state->resilient, dead, plan,
+    return engine.run_resilient_with(q, state->router, dead, plan,
                                      per_query);
   };
   return r;
 }
 
-// Every state routes through engine.run(), which uses the plain router's
-// allocation-free route_into/probe and picks up an interleaved probe_batch
-// kernel transparently where the router has one (Ring/Xor/Group).
-struct RingState {
-  RingRouter plain;
-  ResilientRingRouter resilient;
-  RingState(const OverlayNetwork& net, const LinkTable& links)
-      : plain(net, links), resilient(net, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
+/// The ring and XOR families' state: their router alone.
+template <typename Router>
+struct RouterState {
+  Router router;
+  RouterState(const OverlayNetwork& net, const LinkTable& links)
+      : router(net, links) {}
 };
-
-struct XorState {
-  XorRouter plain;
-  ResilientXorRouter resilient;
-  XorState(const OverlayNetwork& net, const LinkTable& links)
-      : plain(net, links), resilient(net, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
-};
+using RingState = RouterState<RingRouter>;
+using XorState = RouterState<XorRouter>;
 
 // The CAN, Can-Can and group states are shared with the make_stepper
-// hooks. CAN's is the zone partition of all nodes plus the routers over the
+// hooks. CAN's is the zone partition of all nodes plus the router over the
 // caller's link table.
 struct CanState {
   ZoneTree tree;
-  CanRouter plain;
-  ResilientCanRouter resilient;
+  CanRouter router;
   CanState(const OverlayNetwork& net, const LinkTable& links)
-      : tree(net, net.ring().members()),
-        plain(net, tree, links),
-        resilient(net, tree, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
+      : tree(net, net.ring().members()), router(net, tree, links) {}
 };
 
 // Only the per-domain partitions and their index are built here; the
 // link table is the caller's.
 struct CanCanState {
   CanCanZones zones;
-  CanCanRouter plain;
-  ResilientCanCanRouter resilient;
+  CanCanRouter router;
   CanCanState(const OverlayNetwork& net, const LinkTable& links)
-      : zones(net), plain(zones, links), resilient(zones, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
+      : zones(net), router(zones, links) {}
 };
 
 struct GroupState {
   GroupedOverlay groups;
-  GroupRouter plain;
-  ResilientGroupRouter resilient;
+  GroupRouter router;
   GroupState(const OverlayNetwork& net, const LinkTable& links)
       : groups(net, ProximityConfig{}.target_group_size),
-        plain(net, groups, links),
-        resilient(net, groups, links) {}
-  QueryStats run(const QueryEngine& engine, std::span<const Query> q,
-                 std::vector<RouteProbe>* per_query) const {
-    return engine.run(q, plain, per_query);
-  }
+        router(net, groups, links) {}
 };
 
 FamilyRouter make_ring_router(const OverlayNetwork& net,
@@ -208,14 +176,14 @@ FamilyRouter make_group_router(const OverlayNetwork& net,
 // (overlay/stepper.h documents the contract; the ring/XOR steppers live in
 // canon_overlay and their factories go straight into the table). Each
 // closure holds the same state as its family's make_router hook and calls
-// the plain router's step(), which ranks by the walk's own scan.
+// the router's step(), which ranks by the walk's own scan.
 
 template <typename State>
 Stepper make_state_stepper(const OverlayNetwork& net, const LinkTable& links) {
   auto state = std::make_shared<const State>(net, links);
   return [state](NodeIndex at, NodeId key, std::uint64_t&,
                  std::span<NodeIndex> out) -> StepResult {
-    return state->plain.step(at, key, out);
+    return state->router.step(at, key, out);
   };
 }
 
@@ -224,7 +192,7 @@ Stepper make_cancan_stepper(const OverlayNetwork& net,
   auto state = std::make_shared<const CanCanState>(net, links);
   return [state](NodeIndex at, NodeId key, std::uint64_t& word,
                  std::span<NodeIndex> out) -> StepResult {
-    return state->plain.step(at, key, word, out);
+    return state->router.step(at, key, word, out);
   };
 }
 

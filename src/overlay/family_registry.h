@@ -11,15 +11,16 @@
 //                           ignore it; the proximity families use the
 //                           synthetic latency oracle and default
 //                           ProximityConfig)
-//   make_router(net, links) the family's concrete router(s) wrapped for
-//                           QueryEngine batches — plain and failure-aware
+//   make_router(net, links) the family's one router wrapped for
+//                           QueryEngine batches — plain and faulty
 //   audit(net, links)       the StructureAuditor battery composition the
 //                           construction guarantees
 //
 // The FamilyRouter returned by make_router type-erases at *batch*
 // granularity only: one std::function call runs a whole workload, inside
-// which the concrete template cores (RingRouter, XorRouter, GroupRouter,
-// Resilient*) route every query with zero virtual dispatch — the hot-path
+// which the concrete router (RingRouter, XorRouter, CanRouter,
+// CanCanRouter or GroupRouter) routes every query — healthy or through
+// its faulty overloads — with zero virtual dispatch; the hot-path
 // contract of overlay/routing.h is untouched.
 //
 // This header pulls in every family, so it lives in its own library
@@ -45,7 +46,7 @@
 
 namespace canon::registry {
 
-/// A built family's routers, wrapped for batch execution. Copyable; the
+/// A built family's router, wrapped for batch execution. Copyable; the
 /// closures share ownership of the concrete router plus whatever auxiliary
 /// structure it needs (ZoneTree, CanCanZones, GroupedOverlay), while
 /// `net` and `links` passed to make_router are borrowed and must outlive
@@ -71,7 +72,7 @@ struct FamilyRouter {
     return run_fn(engine, queries, per_query);
   }
 
-  /// Failure-aware batch through the family's resilient core; with an
+  /// Failure-aware batch through the router's faulty overloads; with an
   /// empty plan the stats match run() field-for-field.
   ResilientStats run_resilient(const QueryEngine& engine,
                                std::span<const Query> queries,
@@ -103,7 +104,7 @@ struct FamilyEntry {
   /// build_family(), which seeds the stream the way every figure does.
   LinkTable (*build)(const OverlayNetwork& net, Rng& rng);
 
-  /// Wraps the family's routers over an already-built table. The CAN
+  /// Wraps the family's router over an already-built table. The CAN
   /// families reconstruct their deterministic zone trees from `net`
   /// internally (Can-Can routes over its own rebuilt tables, which equal
   /// any `links` produced by build()).

@@ -4,7 +4,7 @@
 // scenario: fail-stop crashes (optionally scheduled at a virtual time),
 // revivals, and a transient message-drop probability. Plans are inert
 // data; materialize() turns the crash/revive schedule into the FailureSet
-// the resilient routing cores consult per hop, journaling every applied
+// the routers' faulty overloads consult per hop, journaling every applied
 // event (telemetry/journal.h) so an experiment's fault history is a
 // replayable artifact.
 //
@@ -156,9 +156,18 @@ struct ResilientProbe {
                          const ResilientProbe&) = default;
 };
 
-/// Per-hop retry budget shared by every resilient core (Kademlia's alpha):
+/// Per-hop retry budget of every router's faulty walk (Kademlia's alpha):
 /// after this many consecutive drops on one hop the query is lost.
 inline constexpr int kRetryBudget = 3;
+
+/// Caller-owned buffers of the routers' faulty walks, one per batch shard;
+/// capacity is reused across queries (the allocation-free contract of the
+/// batch hot paths). Each walk uses the members it needs.
+struct FaultScratch {
+  std::vector<NodeIndex> banned;   ///< candidates dropped this hop
+  std::vector<NodeIndex> leaf;     ///< ring leaf-set candidates of one hop
+  std::vector<NodeIndex> visited;  ///< CAN's live-face fallback cycle guard
+};
 
 }  // namespace canon
 

@@ -15,17 +15,18 @@
 // * greedy_walk  — the whole route. With NoFaults it is the plain
 //                  route_into/probe; with Faults it vetoes dead and banned
 //                  candidates, retries dropped forwards and falls back to
-//                  the leaf set (the resilient routers);
+//                  the leaf set (the routers' faulty overloads);
 // * GreedyLane   — one lane of detail::interleaved_probe_batch;
 // * the steppers — feed the same rank into detail::TopK (stepper.cc).
 //
 // The CAN and Can-Can walks (dht/can.cc, canon/cancan.cc) rank by their
 // zone-match scan, and the group walk (canon/proximity.cc) by its two-key
 // group order, instead of a metric; they share the NoFaults/Faults
-// policies, the recorders, row_ids and detail::TopK.
+// policies, the recorders, row_ids, detail::TopK, the live XOR takeover
+// scan and the faulty entry points' dispatch (with_faults).
 //
-// Internal header: included by routing.cc, resilient_routing.cc,
-// stepper.cc, dht/can.cc, canon/cancan.cc and canon/proximity.cc only.
+// Internal header: included by routing.cc, stepper.cc, dht/can.cc,
+// canon/cancan.cc and canon/proximity.cc only.
 #ifndef CANON_OVERLAY_GREEDY_KERNEL_H
 #define CANON_OVERLAY_GREEDY_KERNEL_H
 
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -44,6 +46,31 @@
 #include "overlay/routing.h"
 
 namespace canon::detail {
+
+/// The live member of `members` XOR-closest to `key`: who takes over a dead
+/// terminal in the XOR, CAN and Can-Can families (`net.ring().members()`
+/// for the whole network). Throws std::logic_error when every member is
+/// dead.
+inline NodeIndex live_xor_closest(const OverlayNetwork& net,
+                                  std::span<const NodeIndex> members,
+                                  NodeId key, const FailureSet& dead) {
+  const std::uint64_t mask = net.space().mask();
+  NodeIndex best = RingView::kNone;
+  std::uint64_t best_d = 0;
+  for (const NodeIndex m : members) {
+    const std::uint64_t d = (net.id(m) ^ key) & mask;
+    // Liveness is asked only of a candidate that would become the new
+    // best, as in argmin_rank: the rarely taken branch predicts well.
+    if ((best == RingView::kNone || d < best_d) && !dead.dead(m)) {
+      best = m;
+      best_d = d;
+    }
+  }
+  if (best == RingView::kNone) {
+    throw std::logic_error("live_xor_closest: every member is dead");
+  }
+  return best;
+}
 
 /// Greedy clockwise metric of the seven ring families. A neighbor that
 /// overshoots the key lies more than the current distance short of it
@@ -113,20 +140,7 @@ struct XorMetric {
   NodeIndex live_terminal(NodeId key, const FailureSet& dead) const {
     const NodeIndex structural = net->xor_closest(key);
     if (!dead.dead(structural)) return structural;
-    NodeIndex best = RingView::kNone;
-    std::uint64_t best_d = 0;
-    for (NodeIndex i = 0; i < net->size(); ++i) {
-      if (dead.dead(i)) continue;
-      const std::uint64_t d = rank(net->id(i), key);
-      if (best == RingView::kNone || d < best_d) {
-        best = i;
-        best_d = d;
-      }
-    }
-    if (best == RingView::kNone) {
-      throw std::logic_error("live_closest: everyone is dead");
-    }
-    return best;
+    return live_xor_closest(*net, net->ring().members(), key, dead);
   }
 };
 
@@ -183,21 +197,34 @@ struct NoFaults {
   static constexpr bool kActive = false;
 };
 
-/// Per-query fault context of the resilient walk. `leaf` may be null for
-/// a metric without a leaf set.
+/// Per-query fault context of a faulty walk. `leaf_set` is the ring
+/// metric's leaf-set depth; the other walks ignore it.
 struct Faults {
   static constexpr bool kActive = true;
   const FailureSet& dead;
   DropRoller& drops;
-  std::vector<NodeIndex>& banned;
-  std::vector<NodeIndex>* leaf;
-  int leaf_set;
-  int retry_budget;
+  FaultScratch& scratch;
+  int leaf_set = 0;
 
   bool banned_node(NodeIndex node) const {
-    return std::find(banned.begin(), banned.end(), node) != banned.end();
+    return std::find(scratch.banned.begin(), scratch.banned.end(), node) !=
+           scratch.banned.end();
   }
 };
+
+/// The dispatch of every router's faulty route_into/probe: throws
+/// std::invalid_argument, prefixed by `who`, on a dead source; runs
+/// `walk(NoFaults{})` when nothing is injected, so the zero-fault route is
+/// the plain router's comparison for comparison; else `walk(faults)`.
+template <typename Walk>
+ResilientProbe with_faults(NodeIndex from, const Faults& faults,
+                           const char* who, Walk&& walk) {
+  if (faults.dead.dead(from)) {
+    throw std::invalid_argument(std::string(who) + ": source is dead");
+  }
+  if (!faults.dead.any() && !faults.drops.active()) return walk(NoFaults{});
+  return walk(faults);
+}
 
 struct NullRecorder {
   void operator()(NodeIndex) const {}
@@ -235,9 +262,9 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
       }
       next = row[pick.index];
     } else {
-      faults.banned.clear();
+      faults.scratch.banned.clear();
       bool leaf_fresh = false;
-      for (int attempts = faults.retry_budget;;) {  // per-hop retry ladder
+      for (int attempts = kRetryBudget;;) {  // per-hop retry ladder
         std::uint64_t best_any = remaining;  // incl. dead and banned
         const Pick pick = argmin_row(
             metric, key, remaining, row, ids,
@@ -252,10 +279,10 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
           if (next == current) {  // no live link progresses: the leaf set
             if (!leaf_fresh) {
               metric.live_leaf_set(current, faults.dead, faults.leaf_set,
-                                   *faults.leaf);
+                                   faults.scratch.leaf);
               leaf_fresh = true;
             }
-            const std::vector<NodeIndex>& leaf = *faults.leaf;
+            const std::vector<NodeIndex>& leaf = faults.scratch.leaf;
             const Pick via = argmin_rank(
                 metric, key, remaining, leaf.size(),
                 [&](std::size_t j) { return net.id(leaf[j]); },
@@ -274,7 +301,7 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
           p.fallback_hops += fallback;
           break;
         }
-        faults.banned.push_back(next);
+        faults.scratch.banned.push_back(next);
         ++p.retries;
         if (--attempts <= 0) return p;  // lost
       }

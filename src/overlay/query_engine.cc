@@ -26,12 +26,6 @@ void set_query_grain(std::size_t grain) {
                       std::memory_order_relaxed);
 }
 
-void RunOptions::apply() const {
-  set_parallel_threads(threads);
-  set_query_grain(grain);
-  set_probe_batch_width(batch_width);
-}
-
 std::vector<Query> generate_workload(
     std::size_t count, const Rng& base,
     const std::function<Query(Rng&, std::size_t)>& make) {
@@ -122,101 +116,62 @@ QueryEngine::QueryEngine(const OverlayNetwork& net)
       hops_counter_(telemetry::maybe_counter("query_engine.hops")),
       failures_counter_(telemetry::maybe_counter("query_engine.failures")) {}
 
-QueryStats QueryEngine::run_batch(std::span<const Query> queries,
-                                  const RouteIntoFn& route_into,
-                                  const ProbeFn& probe,
-                                  std::vector<RouteProbe>* per_query,
-                                  const ProbeBatchFn& probe_batch) const {
-  const std::size_t n = queries.size();
-  const std::size_t grain = query_grain();
-  const std::size_t shards = (n + grain - 1) / grain;
-  if (per_query) per_query->assign(n, RouteProbe{});
-
-  // Probe mode: terminal-only routing, no path materialized anywhere.
-  // Anything that must see the hop-by-hop path disables it.
-  const bool use_probe = probe && !cost_ && !level_tracking_ &&
-                         sink_ == nullptr && load_ == nullptr;
-
-  std::vector<QueryStats> per_shard(shards);
-  std::vector<telemetry::LoadAccountant::Shard> load_shards(load_ ? shards
-                                                                  : 0);
+QueryEngine::ShardOutputs QueryEngine::begin_batch(std::size_t shards) const {
+  ShardOutputs outs;
+  outs.stats.resize(shards);
+  if (load_) outs.load.resize(shards);
   // Per-shard scratch footprint, recorded by the worker that ran the
   // shard (the shard's routes alone determine the final capacity) and
   // charged to the memory accountant on the calling thread after the
   // barrier, in fixed shard order.
-  std::vector<std::uint64_t> scratch_bytes(
-      telemetry::mem_accountant() ? shards : 0);
-  const auto run_shard = [&](std::size_t s) {
-    QueryStats& stats = per_shard[s];
-    telemetry::LoadAccountant::Shard* load_shard =
-        load_ ? &load_shards[s] : nullptr;
-    Route scratch;  // one buffer per shard, capacity reused across queries
-    const std::size_t begin = s * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    // The interleaved kernel routes the whole shard up front; the stats
-    // loop below then drains its results in query order, so every
-    // accumulation (and with it every figure) is identical to the
-    // per-query probe path.
-    std::vector<RouteProbe> batch_out;
-    const bool use_batch = use_probe && probe_batch != nullptr;
-    if (use_batch) {
-      batch_out.resize(end - begin);
-      probe_batch(queries.subspan(begin, end - begin), batch_out);
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const Query& q = queries[i];
-      RouteProbe p;
-      if (use_batch) {
-        p = batch_out[i - begin];
-      } else if (use_probe) {
-        p = probe(q.from, q.key);
-      } else {
-        route_into(q.from, q.key, scratch);
-        p = RouteProbe{scratch.terminal(), scratch.hops(), scratch.ok};
-        observe_route(q, scratch, stats, load_shard);
-      }
-      ++stats.queries;
-      stats.total_hops += static_cast<std::uint64_t>(p.hops);
-      if (p.ok) {
-        stats.hops.add(p.hops);
-      } else {
-        ++stats.failures;
-      }
-      if (per_query) (*per_query)[i] = p;
-    }
-    if (!scratch_bytes.empty()) {
-      scratch_bytes[s] = telemetry::vector_bytes(scratch.path) +
-                         telemetry::vector_bytes(batch_out);
-    }
-  };
+  if (telemetry::mem_accountant()) outs.scratch_bytes.resize(shards);
+  return outs;
+}
 
+void QueryEngine::for_each_shard(
+    std::size_t shards, const std::function<void(std::size_t)>& fn) const {
   if (sink_) {
     // A sink observes one global event stream: keep workload order.
-    for (std::size_t s = 0; s < shards; ++s) run_shard(s);
-  } else {
-    // grain 1: shard s of the index range IS query-shard s, so the
-    // partition (and with it every accumulation order below) is the same
-    // at every thread count.
-    parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) run_shard(s);
-    });
+    for (std::size_t s = 0; s < shards; ++s) fn(s);
+    return;
   }
+  // grain 1: shard s of the index range IS query-shard s, so the
+  // partition (and with it every accumulation order) is the same at every
+  // thread count.
+  parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) fn(s);
+  });
+}
 
-  QueryStats out;
-  for (const QueryStats& s : per_shard) out.merge(s);
-  if (load_) {
-    for (const auto& s : load_shards) load_->merge(s);
-  }
-  if (!scratch_bytes.empty()) {
+std::uint64_t QueryEngine::scratch_bytes(
+    const Route& path, const FaultScratch& scratch,
+    const std::vector<RouteProbe>& batch) {
+  return telemetry::vector_bytes(path.path) +
+         telemetry::vector_bytes(scratch.banned) +
+         telemetry::vector_bytes(scratch.leaf) +
+         telemetry::vector_bytes(scratch.visited) +
+         telemetry::vector_bytes(batch);
+}
+
+ResilientStats QueryEngine::finish_batch(const ShardOutputs& outs) const {
+  ResilientStats out;
+  for (const ResilientStats& s : outs.stats) out.merge(s);
+  for (const auto& s : outs.load) load_->merge(s);
+  if (!outs.scratch_bytes.empty()) {
     // Charge every shard's scratch together, then release: the tag's peak
     // records the concurrency-equivalent footprint (all shards resident at
     // once), which is what the figure would be at maximum parallelism —
     // and is a pure function of the shard partition, so byte-identical at
     // any --threads.
     telemetry::MemScope scope("query.scratch");
-    for (const std::uint64_t bytes : scratch_bytes) scope.add(bytes);
+    for (const std::uint64_t bytes : outs.scratch_bytes) scope.add(bytes);
   }
-  flush_batch_counters(out);
+  // Telemetry flush: aggregate only, on the calling thread, after the
+  // barrier — no Counter is ever touched inside a shard.
+  if (batches_counter_) batches_counter_->inc();
+  if (queries_counter_) queries_counter_->inc(out.base.queries);
+  if (hops_counter_) hops_counter_->inc(out.base.total_hops);
+  if (failures_counter_) failures_counter_->inc(out.base.failures);
   return out;
 }
 
@@ -248,15 +203,6 @@ void QueryEngine::observe_route(
     }
     sink_->end_lookup(trace_id, route.ok, route.terminal());
   }
-}
-
-void QueryEngine::flush_batch_counters(const QueryStats& stats) const {
-  // Telemetry flush: aggregate only, on the calling thread, after the
-  // barrier — no Counter is ever touched inside a shard.
-  if (batches_counter_) batches_counter_->inc();
-  if (queries_counter_) queries_counter_->inc(stats.queries);
-  if (hops_counter_) hops_counter_->inc(stats.total_hops);
-  if (failures_counter_) failures_counter_->inc(stats.failures);
 }
 
 void QueryEngine::flush_resilient_counters(const ResilientStats& stats) const {

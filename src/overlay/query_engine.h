@@ -10,8 +10,11 @@
 //   2. Routing fans out over fixed shards of kQueryGrain queries via
 //      parallel_for on a shared *read-only* router, using the
 //      allocation-free hot paths (route_into reusing one scratch Route per
-//      shard, or probe() when nobody needs paths).
-//   3. Results accumulate into per-shard QueryStats merged in fixed shard
+//      shard, or probe() when nobody needs paths). The plain, lookahead
+//      and resilient batches share this one shard loop; a resilient batch
+//      calls the router's faulty route_into/probe overloads
+//      (overlay/routing.h) with one FaultScratch per shard.
+//   3. Results accumulate into per-shard stats merged in fixed shard
 //      order 0..S-1 after the barrier — float summation order is therefore
 //      identical at every thread count, making every derived figure
 //      byte-identical serial vs. parallel.
@@ -25,12 +28,11 @@
 #ifndef CANON_OVERLAY_QUERY_ENGINE_H
 #define CANON_OVERLAY_QUERY_ENGINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
-
-#include <algorithm>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -101,6 +103,19 @@ struct ResilientStats {
 
   std::uint64_t attempted() const { return base.queries; }
 
+  /// Folds one attempted query in.
+  void add(const ResilientProbe& p) {
+    ++base.queries;
+    base.total_hops += static_cast<std::uint64_t>(p.hops);
+    if (p.ok) {
+      base.hops.add(p.hops);
+    } else {
+      ++base.failures;
+    }
+    retries += static_cast<std::uint64_t>(p.retries);
+    fallback_hops += static_cast<std::uint64_t>(p.fallback_hops);
+  }
+
   /// ok / attempted (1.0 on an empty batch).
   double success_rate() const;
 
@@ -125,34 +140,6 @@ inline constexpr std::size_t kQueryGrain = 256;
 /// different grains may legitimately differ in float-summation order.
 std::size_t query_grain();
 void set_query_grain(std::size_t grain);
-
-/// Everything one batch run depends on besides (workload, router), in one
-/// bag: the three execution knobs every bench used to push through three
-/// process-wide setters (--threads / --grain / --batch-width), plus the
-/// per-run fault plan and trace sink that previously rode as extra
-/// parameters and engine setters. bench::BenchRun builds one from the
-/// standard flags (run_options()); engine overloads taking a RunOptions
-/// apply the knobs and install the sinks for that call only.
-struct RunOptions {
-  /// Worker threads (set_parallel_threads semantics: 0 = hardware
-  /// concurrency, 1 = the exact serial path).
-  int threads = 0;
-  /// Queries per shard (set_query_grain semantics: 0 = kQueryGrain).
-  std::size_t grain = 0;
-  /// Interleaved probe-kernel width (set_probe_batch_width semantics:
-  /// 0 = scalar path).
-  int batch_width = kDefaultProbeBatchWidth;
-  /// Crash/drop schedule for resilient runs; null = fault-free (a
-  /// RunOptions-taking run_resilient then matches run() field-for-field).
-  /// Borrowed.
-  const FaultPlan* fault_plan = nullptr;
-  /// Trace sink installed for the duration of the call (forces the batch
-  /// onto one thread, like QueryEngine::set_trace). Borrowed.
-  telemetry::RouteTraceSink* trace = nullptr;
-
-  /// Installs the three process-wide execution knobs.
-  void apply() const;
-};
 
 /// See the file comment. One engine per overlay; routers are passed per
 /// run() call and only read.
@@ -187,114 +174,66 @@ class QueryEngine {
   /// (accounting needs the hop-by-hop path). nullptr detaches.
   void set_load(telemetry::LoadAccountant* load) { load_ = load; }
 
-  /// Routes one query into the caller's buffer; must be safe to call
-  /// concurrently on shared state (the hot-path contract).
-  using RouteIntoFn =
-      std::function<void(NodeIndex, NodeId, Route&)>;
-  /// Terminal-only variant; pass nullptr when the router has none.
-  using ProbeFn = std::function<RouteProbe(NodeIndex, NodeId)>;
-  /// Whole-shard terminal-only variant: the router's interleaved batch
-  /// kernel (probe_batch), one result per query. Optional — probe mode
-  /// falls back to per-query ProbeFn calls when absent.
-  using ProbeBatchFn =
-      std::function<void(std::span<const Query>, std::span<RouteProbe>)>;
-
-  /// Runs the batch through any router exposing the route_into/probe hot
-  /// paths (RingRouter, XorRouter, GroupRouter, CanRouter, CanCanRouter).
-  /// When `per_query` is given
-  /// it receives one RouteProbe per query, in workload order. Routers
-  /// exposing probe_batch (the memory-level-parallel kernels) are picked
-  /// up transparently: probe mode then routes whole shards through the
-  /// interleaved kernel — same results, fewer stalls.
+  /// Runs the batch through any family's router (RingRouter, XorRouter,
+  /// GroupRouter, CanRouter, CanCanRouter) via its route_into/probe hot
+  /// paths. When `per_query` is given it receives one RouteProbe per
+  /// query, in workload order. Routers exposing probe_batch (the
+  /// memory-level-parallel kernels) are picked up transparently: probe
+  /// mode then routes whole shards through the interleaved kernel — same
+  /// results, fewer stalls.
   template <typename Router>
   QueryStats run(std::span<const Query> queries, const Router& router,
                  std::vector<RouteProbe>* per_query = nullptr) const {
-    ProbeBatchFn probe_batch;
-    if constexpr (requires(const Router& r, std::span<const Query> q,
-                           std::span<RouteProbe> o) { r.probe_batch(q, o); }) {
-      probe_batch = [&router](std::span<const Query> q,
-                              std::span<RouteProbe> o) {
-        router.probe_batch(q, o);
-      };
-    }
-    return run_batch(
-        queries,
-        [&router](NodeIndex from, NodeId key, Route& out) {
-          router.route_into(from, key, out);
-        },
-        [&router](NodeIndex from, NodeId key) {
-          return router.probe(from, key);
-        },
-        per_query, probe_batch);
-  }
-
-  /// run() under a RunOptions bag: applies the execution knobs, installs
-  /// opts.trace for the duration of the call (restoring the previously
-  /// attached sink after), and runs the plain batch. opts.fault_plan is
-  /// ignored here — use the run_resilient overload for faulty runs.
-  template <typename Router>
-  QueryStats run(std::span<const Query> queries, const Router& router,
-                 const RunOptions& opts,
-                 std::vector<RouteProbe>* per_query = nullptr) {
-    opts.apply();
-    const SinkGuard guard(this, opts.trace);
-    return run(queries, router, per_query);
-  }
-
-  /// run_resilient() under a RunOptions bag; a null opts.fault_plan runs
-  /// fault-free (empty plan).
-  template <typename RRouter>
-  ResilientStats run_resilient(std::span<const Query> queries,
-                               const RRouter& router, const RunOptions& opts,
-                               std::vector<RouteProbe>* per_query = nullptr) {
-    opts.apply();
-    const SinkGuard guard(this, opts.trace);
-    static const FaultPlan kNoFaults;
-    return run_resilient(queries, router,
-                         opts.fault_plan ? *opts.fault_plan : kNoFaults,
-                         per_query);
+    return run_shards(
+               queries, nullptr, per_query,
+               [&router](std::size_t, const Query& q, FaultScratch&,
+                         Route* path) {
+                 if (!path) return plain(router.probe(q.from, q.key));
+                 router.route_into(q.from, q.key, *path);
+                 return plain(*path);
+               },
+               [&router](std::span<const Query> q,
+                         std::vector<RouteProbe>& out) {
+                 if constexpr (requires { router.probe_batch(q, out); }) {
+                   out.resize(q.size());
+                   router.probe_batch(q, out);
+                   return true;
+                 }
+                 return false;
+               })
+        .base;
   }
 
   /// Same, through RingRouter's lookahead variant.
   QueryStats run_lookahead(std::span<const Query> queries,
                            const RingRouter& router,
                            std::vector<RouteProbe>* per_query = nullptr) const {
-    return run_batch(
-        queries,
-        [&router](NodeIndex from, NodeId key, Route& out) {
-          router.route_lookahead_into(from, key, out);
-        },
-        [&router](NodeIndex from, NodeId key) {
-          return router.probe_lookahead(from, key);
-        },
-        per_query);
+    return run_shards(
+               queries, nullptr, per_query,
+               [&router](std::size_t, const Query& q, FaultScratch&,
+                         Route* path) {
+                 if (!path) {
+                   return plain(router.probe_lookahead(q.from, q.key));
+                 }
+                 router.route_lookahead_into(q.from, q.key, *path);
+                 return plain(*path);
+               },
+               no_batch_kernel)
+        .base;
   }
-
-  /// The generic core behind run() and run_lookahead(). Probe mode (no
-  /// path recorded at all) is used iff `probe` is non-null and nothing
-  /// needs paths: no cost fn, no level tracking, no sink. In probe mode a
-  /// non-null `probe_batch` handles whole shards at once (the interleaved
-  /// kernels); it must write out[i] == probe(queries[i].from,
-  /// queries[i].key) for every i.
-  QueryStats run_batch(std::span<const Query> queries,
-                       const RouteIntoFn& route_into, const ProbeFn& probe,
-                       std::vector<RouteProbe>* per_query = nullptr,
-                       const ProbeBatchFn& probe_batch = {}) const;
 
   /// The resilient batch mode: materializes `plan` once (journaling its
   /// crash/revive events when a journal is attached) and runs the batch
-  /// through a failure-aware router (ResilientRingRouter,
-  /// ResilientXorRouter, ResilientCanRouter, ResilientCanCanRouter,
-  /// ResilientGroupRouter — anything exposing the Scratch/route_into/probe
-  /// shape). Dead-source queries are skipped (per_query gets
+  /// through the router's faulty route_into/probe overloads (see
+  /// overlay/routing.h). Dead-source queries are skipped (per_query gets
   /// {from, 0, false}); each attempted query i derives its drop stream
   /// from plan.drop_seed() forked by i, so results — like the plain
   /// batch's — are byte-identical at every thread count. The
   /// query_engine.resilient_* counters are flushed only for a non-empty
   /// plan, keeping empty-plan reports byte-identical to run()'s.
-  template <typename RRouter>
+  template <typename Router>
   ResilientStats run_resilient(std::span<const Query> queries,
-                               const RRouter& router, const FaultPlan& plan,
+                               const Router& router, const FaultPlan& plan,
                                std::vector<RouteProbe>* per_query =
                                    nullptr) const {
     const FailureSet dead = plan.materialize(*net_, journal_);
@@ -303,106 +242,143 @@ class QueryEngine {
 
   /// Same, over an already-materialized FailureSet (callers that audit or
   /// journal the dead set themselves).
-  template <typename RRouter>
+  template <typename Router>
   ResilientStats run_resilient_with(std::span<const Query> queries,
-                                    const RRouter& router,
+                                    const Router& router,
                                     const FailureSet& dead,
                                     const FaultPlan& plan,
                                     std::vector<RouteProbe>* per_query =
                                         nullptr) const {
+    const Rng drop_base(plan.drop_seed());
+    const double drop_p = plan.drop_probability();
+    const ResilientStats out = run_shards(
+        queries, &dead, per_query,
+        [&](std::size_t i, const Query& q, FaultScratch& scratch,
+            Route* path) {
+          DropRoller drops(drop_p, drop_base.fork(i));
+          return path ? router.route_into(q.from, q.key, dead, drops, scratch,
+                                          *path)
+                      : router.probe(q.from, q.key, dead, drops, scratch);
+        },
+        no_batch_kernel);
+    if (!plan.empty()) flush_resilient_counters(out);
+    return out;
+  }
+
+ private:
+  /// Per-shard outputs of one batch, folded by finish_batch in fixed
+  /// shard order.
+  struct ShardOutputs {
+    std::vector<ResilientStats> stats;
+    /// One per shard iff a LoadAccountant is attached.
+    std::vector<telemetry::LoadAccountant::Shard> load;
+    /// One per shard iff a MemoryAccountant is installed.
+    std::vector<std::uint64_t> scratch_bytes;
+  };
+
+  static ResilientProbe plain(const RouteProbe& p) {
+    return {p.terminal, p.hops, p.ok};
+  }
+  static ResilientProbe plain(const Route& r) {
+    return {r.terminal(), r.hops(), r.ok};
+  }
+
+  /// The route_shard of a router without an interleaved batch kernel.
+  static bool no_batch_kernel(std::span<const Query>,
+                              std::vector<RouteProbe>&) {
+    return false;
+  }
+
+  /// The one shard loop behind run(), run_lookahead() and
+  /// run_resilient_with(). Fans fixed shards of query_grain() queries over
+  /// parallel_for (or runs them in order on the calling thread when a
+  /// trace sink is attached), with one Route, FaultScratch and batch
+  /// buffer per shard whose capacity is reused across its queries.
+  /// Queries whose source is in `dead` (if given) are skipped.
+  ///
+  /// Probe mode (no path recorded at all) is used iff nothing needs paths:
+  /// no cost fn, no level tracking, no sink, no load accountant. In probe
+  /// mode `route_shard(shard, out)` may route the whole shard up front
+  /// through an interleaved kernel, resizing `out` and returning true
+  /// (out[i] must equal the per-query probe); else `route_one(i, q,
+  /// scratch, path)` routes query i — into `*path` when non-null,
+  /// terminal-only otherwise. The stats loop drains either in query order,
+  /// so every accumulation is the same on every path.
+  template <typename RouteOne, typename RouteShard>
+  ResilientStats run_shards(std::span<const Query> queries,
+                            const FailureSet* dead,
+                            std::vector<RouteProbe>* per_query,
+                            RouteOne&& route_one,
+                            RouteShard&& route_shard) const {
     const std::size_t n = queries.size();
     const std::size_t grain = query_grain();
     const std::size_t shards = (n + grain - 1) / grain;
     if (per_query) per_query->assign(n, RouteProbe{});
     const bool use_probe =
         !cost_ && !level_tracking_ && sink_ == nullptr && load_ == nullptr;
-    const Rng drop_base(plan.drop_seed());
-    const double drop_p = plan.drop_probability();
-
-    std::vector<ResilientStats> per_shard(shards);
-    std::vector<telemetry::LoadAccountant::Shard> load_shards(
-        load_ ? shards : 0);
-    const auto run_shard = [&](std::size_t s) {
-      ResilientStats& stats = per_shard[s];
+    ShardOutputs outs = begin_batch(shards);
+    for_each_shard(shards, [&](std::size_t s) {
+      ResilientStats& stats = outs.stats[s];
       telemetry::LoadAccountant::Shard* load_shard =
-          load_ ? &load_shards[s] : nullptr;
-      Route route_scratch;  // per-shard buffers, capacity reused
-      typename RRouter::Scratch scratch;
+          outs.load.empty() ? nullptr : &outs.load[s];
+      Route path;
+      FaultScratch scratch;
+      std::vector<RouteProbe> batch_out;
       const std::size_t begin = s * grain;
       const std::size_t end = std::min(n, begin + grain);
+      const bool batched =
+          use_probe && route_shard(queries.subspan(begin, end - begin),
+                                   batch_out);
       for (std::size_t i = begin; i < end; ++i) {
         const Query& q = queries[i];
-        if (dead.dead(q.from)) {
+        if (dead && dead->dead(q.from)) {
           ++stats.skipped_dead_source;
           if (per_query) (*per_query)[i] = RouteProbe{q.from, 0, false};
           continue;
         }
-        DropRoller drops(drop_p, drop_base.fork(i));
-        ResilientProbe rp;
-        if (use_probe) {
-          rp = router.probe(q.from, q.key, dead, drops, scratch);
+        ResilientProbe p;
+        if (batched) {
+          p = plain(batch_out[i - begin]);
+        } else if (use_probe) {
+          p = route_one(i, q, scratch, nullptr);
         } else {
-          rp = router.route_into(q.from, q.key, dead, drops, scratch,
-                                 route_scratch);
-          observe_route(q, route_scratch, stats.base, load_shard);
+          p = route_one(i, q, scratch, &path);
+          observe_route(q, path, stats.base, load_shard);
         }
-        ++stats.base.queries;
-        stats.base.total_hops += static_cast<std::uint64_t>(rp.hops);
-        if (rp.ok) {
-          stats.base.hops.add(rp.hops);
-        } else {
-          ++stats.base.failures;
-        }
-        stats.retries += static_cast<std::uint64_t>(rp.retries);
-        stats.fallback_hops += static_cast<std::uint64_t>(rp.fallback_hops);
-        if (per_query) (*per_query)[i] = rp.to_probe();
+        stats.add(p);
+        if (per_query) (*per_query)[i] = p.to_probe();
       }
-    };
-
-    if (sink_) {
-      for (std::size_t s = 0; s < shards; ++s) run_shard(s);
-    } else {
-      parallel_for(shards, 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) run_shard(s);
-      });
-    }
-
-    ResilientStats out;
-    for (const ResilientStats& s : per_shard) out.merge(s);
-    if (load_) {
-      for (const auto& s : load_shards) load_->merge(s);
-    }
-    flush_batch_counters(out.base);
-    if (!plan.empty()) flush_resilient_counters(out);
-    return out;
+      if (!outs.scratch_bytes.empty()) {
+        outs.scratch_bytes[s] = scratch_bytes(path, scratch, batch_out);
+      }
+    });
+    return finish_batch(outs);
   }
 
- private:
-  /// Installs a RunOptions trace sink for one call, restoring the
-  /// previously attached sink on scope exit (a null options trace leaves
-  /// the attached sink in place).
-  struct SinkGuard {
-    QueryEngine* engine;
-    telemetry::RouteTraceSink* prev;
-    SinkGuard(QueryEngine* e, telemetry::RouteTraceSink* trace)
-        : engine(e), prev(e->sink_) {
-      if (trace) e->sink_ = trace;
-    }
-    ~SinkGuard() { engine->sink_ = prev; }
-    SinkGuard(const SinkGuard&) = delete;
-    SinkGuard& operator=(const SinkGuard&) = delete;
-  };
+  /// Sizes the per-shard outputs for `shards` shards.
+  ShardOutputs begin_batch(std::size_t shards) const;
+
+  /// Runs fn(s) for every shard s: in order on the calling thread when a
+  /// sink is attached (sinks observe one global event order), else over
+  /// parallel_for.
+  void for_each_shard(std::size_t shards,
+                      const std::function<void(std::size_t)>& fn) const;
+
+  /// The bytes one shard's buffers hold after its last query.
+  static std::uint64_t scratch_bytes(const Route& path,
+                                     const FaultScratch& scratch,
+                                     const std::vector<RouteProbe>& batch);
+
+  /// After the barrier, on the calling thread: merges the shard stats and
+  /// load shards in fixed shard order, charges the shards' scratch to the
+  /// `query.scratch` memory tag and flushes the query_engine.* counters.
+  ResilientStats finish_batch(const ShardOutputs& outs) const;
 
   /// The path-dependent tallies of full (non-probe) mode: level tracking,
   /// path cost, trace replay, load accounting (into `load_shard` when a
-  /// LoadAccountant is attached). Shared by run_batch and
-  /// run_resilient_with.
+  /// LoadAccountant is attached).
   void observe_route(const Query& q, const Route& route, QueryStats& stats,
                      telemetry::LoadAccountant::Shard* load_shard) const;
-
-  /// Post-merge flush of the query_engine.{batches,queries,hops,failures}
-  /// counters, on the calling thread.
-  void flush_batch_counters(const QueryStats& stats) const;
 
   /// Post-merge flush of the query_engine.resilient_* counters. Looked up
   /// lazily so the names never register — and never surface in metric

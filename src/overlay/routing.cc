@@ -125,10 +125,12 @@ void require_routable(const OverlayNetwork& net, const LinkTable& links,
   }
 }
 
-RingRouter::RingRouter(const OverlayNetwork& net, const LinkTable& links)
+RingRouter::RingRouter(const OverlayNetwork& net, const LinkTable& links,
+                       int leaf_set)
     : net_(&net),
       links_(&links),
       max_hops_(hop_guard(net)),
+      leaf_set_(leaf_set),
       routes_counter_(telemetry::maybe_counter("ring_router.routes")),
       hops_counter_(telemetry::maybe_counter("ring_router.hops")),
       failures_counter_(telemetry::maybe_counter("ring_router.failures")) {
@@ -164,6 +166,48 @@ Route RingRouter::route(NodeIndex from, NodeId key) const {
   finish_route(r, key, *net_, *links_, routes_counter_, hops_counter_,
                failures_counter_, sink_);
   return r;
+}
+
+ResilientProbe RingRouter::route_into(NodeIndex from, NodeId key,
+                                      const FailureSet& dead,
+                                      DropRoller& drops, FaultScratch& scratch,
+                                      Route& out) const {
+  out.path.assign(1, from);
+  const ResilientProbe p = detail::with_faults(
+      from, {dead, drops, scratch, leaf_set_}, "RingRouter",
+      [&](const auto& faults) {
+        return detail::greedy_walk(detail::RingMetric(*net_), *links_,
+                                   max_hops_, from, key, faults,
+                                   detail::PathRecorder{&out.path});
+      });
+  out.ok = p.ok;
+  return p;
+}
+
+ResilientProbe RingRouter::probe(NodeIndex from, NodeId key,
+                                 const FailureSet& dead, DropRoller& drops,
+                                 FaultScratch& scratch) const {
+  return detail::with_faults(
+      from, {dead, drops, scratch, leaf_set_}, "RingRouter",
+      [&](const auto& faults) {
+        return detail::greedy_walk(detail::RingMetric(*net_), *links_,
+                                   max_hops_, from, key, faults,
+                                   detail::NullRecorder{});
+      });
+}
+
+Route RingRouter::route(NodeIndex from, NodeId key,
+                        const FailureSet& dead) const {
+  Route r;
+  FaultScratch scratch;
+  DropRoller drops;
+  route_into(from, key, dead, drops, scratch, r);
+  return r;
+}
+
+NodeIndex RingRouter::live_responsible(NodeId key,
+                                       const FailureSet& dead) const {
+  return detail::RingMetric(*net_).live_terminal(key, dead);
 }
 
 void RingRouter::route_lookahead_into(NodeIndex from, NodeId key,
@@ -226,6 +270,31 @@ Route XorRouter::route(NodeIndex from, NodeId key) const {
   finish_route(r, key, *net_, *links_, routes_counter_, hops_counter_,
                failures_counter_, sink_);
   return r;
+}
+
+ResilientProbe XorRouter::route_into(NodeIndex from, NodeId key,
+                                     const FailureSet& dead, DropRoller& drops,
+                                     FaultScratch& scratch, Route& out) const {
+  out.path.assign(1, from);
+  const ResilientProbe p = detail::with_faults(
+      from, {dead, drops, scratch}, "XorRouter", [&](const auto& faults) {
+        return detail::greedy_walk(detail::XorMetric(*net_), *links_,
+                                   max_hops_, from, key, faults,
+                                   detail::PathRecorder{&out.path});
+      });
+  out.ok = p.ok;
+  return p;
+}
+
+ResilientProbe XorRouter::probe(NodeIndex from, NodeId key,
+                                const FailureSet& dead, DropRoller& drops,
+                                FaultScratch& scratch) const {
+  return detail::with_faults(
+      from, {dead, drops, scratch}, "XorRouter", [&](const auto& faults) {
+        return detail::greedy_walk(detail::XorMetric(*net_), *links_,
+                                   max_hops_, from, key, faults,
+                                   detail::NullRecorder{});
+      });
 }
 
 }  // namespace canon

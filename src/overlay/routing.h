@@ -10,9 +10,20 @@
 // * XorRouter: greedy XOR-distance reduction (Kademlia/Kandy families).
 //
 // Both are thin shells over the one greedy kernel (overlay/greedy_kernel.h)
-// that also drives the resilient routers, the interleaved batch probe and
-// the simulator's steppers, so every path of a family picks its next hop
-// by the same rank and the same first-best tie rule.
+// that also drives the interleaved batch probe and the simulator's
+// steppers, so every path of a family picks its next hop by the same rank
+// and the same first-best tie rule.
+//
+// Failure recovery is part of each router, not a second router (the
+// paper's leaf sets, Section 2.3): every family's router — these two,
+// CanRouter, CanCanRouter and GroupRouter — has faulty route_into/probe
+// overloads taking a FailureSet, a DropRoller and a FaultScratch
+// (overlay/fault_plan.h). They skip dead neighbors, retry dropped forwards
+// on the runner-up up to kRetryBudget times per hop and take the family's
+// recovery path (the ring's leaf set of the next `leaf_set` successors at
+// every level of a node's domain chain); ok then means the terminal is the
+// key's live responsible node. With an empty FailureSet and inactive
+// drops they run the fault-free walk itself, hop for hop.
 #ifndef CANON_OVERLAY_ROUTING_H
 #define CANON_OVERLAY_ROUTING_H
 
@@ -27,6 +38,11 @@
 #include "telemetry/trace.h"
 
 namespace canon {
+
+class DropRoller;
+class FailureSet;
+struct FaultScratch;
+struct ResilientProbe;
 
 /// The hop-by-hop trace of one routed query.
 struct Route {
@@ -111,11 +127,19 @@ void set_probe_batch_width(int width);
 // accumulates per-shard tallies and flushes them after its merge barrier
 // (telemetry::Counter is a plain uint64_t and must never be shared across
 // shards).
+//
+// The faulty overloads follow the same contract: every per-query input
+// (FailureSet, DropRoller, FaultScratch) comes by argument, and they throw
+// std::invalid_argument on a dead source.
 
 /// Greedy clockwise routing for the Chord/Crescendo/Symphony families.
 class RingRouter {
  public:
-  RingRouter(const OverlayNetwork& net, const LinkTable& links);
+  /// `leaf_set` = successors remembered per hierarchy level for the faulty
+  /// walk's fallback (paper: "each node maintains a list of successors at
+  /// every level"); 0 routes on fingers alone.
+  RingRouter(const OverlayNetwork& net, const LinkTable& links,
+             int leaf_set = 4);
 
   /// Routes from node `from` towards `key`; stops at the first node none of
   /// whose neighbors can advance clockwise without overshooting the key.
@@ -143,6 +167,21 @@ class RingRouter {
   void probe_batch(std::span<const Query> queries,
                    std::span<RouteProbe> out) const;
 
+  /// Faulty greedy clockwise routing from a live node (see the file
+  /// comment): ok iff the terminal is live_responsible(key).
+  ResilientProbe route_into(NodeIndex from, NodeId key,
+                            const FailureSet& dead, DropRoller& drops,
+                            FaultScratch& scratch, Route& out) const;
+  ResilientProbe probe(NodeIndex from, NodeId key, const FailureSet& dead,
+                       DropRoller& drops, FaultScratch& scratch) const;
+
+  /// Single-query faulty route (storage, examples, tests): fresh buffers,
+  /// no message drops, no telemetry.
+  Route route(NodeIndex from, NodeId key, const FailureSet& dead) const;
+
+  /// The live node responsible for `key` (closest live predecessor).
+  NodeIndex live_responsible(NodeId key, const FailureSet& dead) const;
+
   /// Attaches a trace sink receiving per-hop events (hierarchy level,
   /// candidates evaluated) for every subsequent route; nullptr detaches.
   /// Only route()/route_lookahead() emit events; the *_into/probe hot
@@ -153,13 +192,14 @@ class RingRouter {
   const OverlayNetwork* net_;
   const LinkTable* links_;
   int max_hops_;
+  int leaf_set_;
   telemetry::RouteTraceSink* sink_ = nullptr;
   telemetry::Counter* routes_counter_;
   telemetry::Counter* hops_counter_;
   telemetry::Counter* failures_counter_;
 };
 
-/// Greedy XOR routing for the Kademlia/CAN families.
+/// Greedy XOR routing for the Kademlia/Kandy families.
 class XorRouter {
  public:
   XorRouter(const OverlayNetwork& net, const LinkTable& links);
@@ -175,6 +215,16 @@ class XorRouter {
   /// Interleaved batch probe; see RingRouter::probe_batch.
   void probe_batch(std::span<const Query> queries,
                    std::span<RouteProbe> out) const;
+
+  /// Faulty XOR descent (see the file comment): per hop the live
+  /// candidates are tried in order of XOR progress — the alpha-parallel
+  /// lookup of Maymounkov & Mazières collapsed onto one message. ok iff the
+  /// terminal is the live node XOR-closest to the key.
+  ResilientProbe route_into(NodeIndex from, NodeId key,
+                            const FailureSet& dead, DropRoller& drops,
+                            FaultScratch& scratch, Route& out) const;
+  ResilientProbe probe(NodeIndex from, NodeId key, const FailureSet& dead,
+                       DropRoller& drops, FaultScratch& scratch) const;
 
   /// Attaches a trace sink (see RingRouter::set_trace).
   void set_trace(telemetry::RouteTraceSink* sink) { sink_ = sink; }

@@ -10,7 +10,6 @@ HierarchicalStore::HierarchicalStore(const OverlayNetwork& net,
                                      std::size_t cache_capacity,
                                      CachePolicy policy)
     : net_(&net),
-      links_(&links),
       router_(net, links),
       entries_(net.size()),
       pointers_(net.size()),
@@ -207,12 +206,10 @@ HierarchicalStore::MultiGetResult HierarchicalStore::get_many(
 }
 
 GetResult HierarchicalStore::get_resilient(std::uint32_t origin, NodeId key,
-                                            const FailureSet& failures,
-                                            int leaf_set) {
-  const ResilientRingRouter router(*net_, *links_, leaf_set);
+                                            const FailureSet& failures) {
   GetResult result;
   result.route.path.push_back(origin);
-  const Route full = router.route(origin, key, failures);
+  const Route full = router_.route(origin, key, failures);
   for (std::size_t i = 0; i < full.path.size(); ++i) {
     const std::uint32_t m = full.path[i];
     if (i > 0) result.route.path.push_back(m);

@@ -15,6 +15,10 @@
 // cached at the proxy node of every origin-side domain on the path, each
 // copy annotated with the level it serves (Section 4.2's replacement
 // policy preferentially evicts deeper-level copies).
+//
+// Every lookup walks the store's one RingRouter: get()/get_many() its
+// plain greedy route, get_resilient() its faulty walk with the leaf-set
+// fallback (overlay/routing.h).
 #ifndef CANON_STORAGE_HIERARCHICAL_STORE_H
 #define CANON_STORAGE_HIERARCHICAL_STORE_H
 
@@ -23,9 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "overlay/fault_plan.h"
 #include "overlay/link_table.h"
 #include "overlay/overlay_network.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 #include "storage/cache.h"
 
@@ -88,12 +92,13 @@ class HierarchicalStore {
   MultiGetResult get_many(std::uint32_t origin, NodeId key,
                           std::size_t limit);
 
-  /// Lookup in the presence of failed nodes: routes with leaf-set fallback
-  /// (ResilientRingRouter) and inspects only live nodes. Replicated
-  /// content survives the loss of its primary holder, because the live
-  /// responsible node (the next live predecessor) already holds a copy.
+  /// Lookup in the presence of failed nodes: routes through the store's
+  /// router with its leaf-set fallback (RingRouter's faulty walk) and
+  /// inspects only live nodes. Replicated content survives the loss of
+  /// its primary holder, because the live responsible node (the next live
+  /// predecessor) already holds a copy.
   GetResult get_resilient(std::uint32_t origin, NodeId key,
-                          const FailureSet& failures, int leaf_set = 4);
+                          const FailureSet& failures);
 
   /// Total stored pairs (no pointers, no cached copies).
   std::size_t stored_pairs() const;
@@ -127,7 +132,6 @@ class HierarchicalStore {
                bool use_cache, GetResult& result);
 
   const OverlayNetwork* net_;
-  const LinkTable* links_;
   RingRouter router_;
   std::vector<std::vector<Entry>> entries_;    // per node
   std::vector<std::vector<Pointer>> pointers_;  // per node

@@ -19,7 +19,6 @@
 #include "overlay/message_sim.h"
 #include "overlay/metrics.h"
 #include "overlay/population.h"
-#include "overlay/resilient_routing.h"
 #include "overlay/routing.h"
 #include "storage/hierarchical_store.h"
 
@@ -58,21 +57,15 @@ TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
   const LinkTable foreign = build_crescendo(small);
   const LinkTable unfinalized(net.size());
   const ZoneTree tree(net, net.ring().members());
+  const CanCanZones zones(net);
   const GroupedOverlay groups(net, 8);
   using Make = std::function<void(const LinkTable&)>;
   const std::vector<std::pair<const char*, Make>> constructors = {
       {"RingRouter", [&](const LinkTable& t) { RingRouter(net, t); }},
       {"XorRouter", [&](const LinkTable& t) { XorRouter(net, t); }},
-      {"ResilientRingRouter",
-       [&](const LinkTable& t) { ResilientRingRouter(net, t); }},
-      {"ResilientXorRouter",
-       [&](const LinkTable& t) { ResilientXorRouter(net, t); }},
       {"GroupRouter", [&](const LinkTable& t) { GroupRouter(net, groups, t); }},
-      {"ResilientGroupRouter",
-       [&](const LinkTable& t) { ResilientGroupRouter(net, groups, t); }},
       {"CanRouter", [&](const LinkTable& t) { CanRouter(net, tree, t); }},
-      {"ResilientCanRouter",
-       [&](const LinkTable& t) { ResilientCanRouter(net, tree, t); }},
+      {"CanCanRouter", [&](const LinkTable& t) { CanCanRouter(zones, t); }},
       {"MessageSimulator",
        [&](const LinkTable& t) { MessageSimulator(net, t); }},
   };
@@ -288,21 +281,19 @@ std::vector<std::pair<const char*, OverlayNetwork>> can_shapes() {
 }
 
 TEST(EdgeCases, CanFamiliesRouteRouteIntoAndProbeAgree) {
-  // route(), route_into() (reusing one Route), probe() and the resilient
-  // router on an empty failure set walk the same path for CAN and Can-Can.
+  // route(), route_into() (reusing one Route), probe() and the faulty
+  // route_into on an empty failure set walk the same path for CAN and
+  // Can-Can.
   for (const auto& [shape, net] : can_shapes()) {
     const CanNetwork can = build_can(net);
     const CanRouter can_router(net, can.tree, can.links);
-    const ResilientCanRouter can_resilient(net, can.tree, can.links);
     const CanCanNetwork cancan(net);
     const CanCanRouter cancan_router(cancan);
-    const ResilientCanCanRouter cancan_resilient(cancan);
     const FailureSet none(net.size());
     DropRoller no_drops(0.0, Rng(1));
-    ResilientCanRouter::Scratch can_scratch;
-    ResilientCanCanRouter::Scratch cancan_scratch;
+    FaultScratch scratch;
     Route into;
-    Route resilient_path;
+    Route faulty_path;
     Rng rng(11);
     for (int t = 0; t < 200; ++t) {
       const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
@@ -317,9 +308,9 @@ TEST(EdgeCases, CanFamiliesRouteRouteIntoAndProbeAgree) {
       EXPECT_EQ(can_router.probe(from, key),
                 (RouteProbe{r.terminal(), r.hops(), r.ok}))
           << shape;
-      const ResilientProbe rp = can_resilient.route_into(
-          from, key, none, no_drops, can_scratch, resilient_path);
-      EXPECT_EQ(resilient_path.path, r.path) << shape;
+      const ResilientProbe rp = can_router.route_into(
+          from, key, none, no_drops, scratch, faulty_path);
+      EXPECT_EQ(faulty_path.path, r.path) << shape;
       EXPECT_EQ(rp.to_probe(), can_router.probe(from, key)) << shape;
 
       const Route c = cancan_router.route(from, key);
@@ -332,9 +323,9 @@ TEST(EdgeCases, CanFamiliesRouteRouteIntoAndProbeAgree) {
       EXPECT_EQ(cancan_router.probe(from, key),
                 (RouteProbe{c.terminal(), c.hops(), c.ok}))
           << shape;
-      const ResilientProbe cp = cancan_resilient.route_into(
-          from, key, none, no_drops, cancan_scratch, resilient_path);
-      EXPECT_EQ(resilient_path.path, c.path) << shape;
+      const ResilientProbe cp = cancan_router.route_into(
+          from, key, none, no_drops, scratch, faulty_path);
+      EXPECT_EQ(faulty_path.path, c.path) << shape;
       EXPECT_EQ(cp.to_probe(), cancan_router.probe(from, key)) << shape;
     }
   }
@@ -363,20 +354,19 @@ TEST(EdgeCases, CanStepperCandidateZeroWalksTheRoute) {
 
 TEST(EdgeCases, GroupFamiliesPathsAgree) {
   // route(), route_into() (reusing one Route), probe(), probe_batch(), the
-  // resilient router on an empty failure set and a walk that always takes
+  // faulty route_into on an empty failure set and a walk that always takes
   // the registry stepper's candidate 0 agree for both group families.
   for (const auto& [shape, net] : can_shapes()) {
     const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
     for (const char* family : {"chord_prox", "crescendo_prox"}) {
       const LinkTable links = registry::build_family(net, family, 13);
       const GroupRouter router(net, groups, links);
-      const ResilientGroupRouter resilient(net, groups, links);
       const Stepper step = registry::family(family).make_stepper(net, links);
       const FailureSet none(net.size());
       DropRoller no_drops(0.0, Rng(1));
-      ResilientGroupRouter::Scratch scratch;
+      FaultScratch scratch;
       Route into;
-      Route resilient_path;
+      Route faulty_path;
       std::vector<Query> queries;
       std::array<NodeIndex, 3> cand{};
       Rng rng(14);
@@ -395,9 +385,9 @@ TEST(EdgeCases, GroupFamiliesPathsAgree) {
         const RouteProbe probe = router.probe(from, key);
         EXPECT_EQ(probe, (RouteProbe{r.terminal(), r.hops(), r.ok}))
             << shape << " " << family;
-        const ResilientProbe rp = resilient.route_into(
-            from, key, none, no_drops, scratch, resilient_path);
-        EXPECT_EQ(resilient_path.path, r.path) << shape << " " << family;
+        const ResilientProbe rp = router.route_into(
+            from, key, none, no_drops, scratch, faulty_path);
+        EXPECT_EQ(faulty_path.path, r.path) << shape << " " << family;
         EXPECT_EQ(rp.to_probe(), probe) << shape << " " << family;
 
         std::vector<NodeIndex> walked = {from};

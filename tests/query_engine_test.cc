@@ -21,9 +21,11 @@
 #include "dht/can.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "overlay/family_registry.h"
 #include "overlay/population.h"
 #include "overlay/query_engine.h"
 #include "overlay/routing.h"
+#include "telemetry/mem_stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -313,6 +315,29 @@ TEST(QueryEngine, CountersFlushAggregatesOnly) {
             stats.failures);
   // The hot paths never bump the router's own counters.
   EXPECT_EQ(registry.counters().count("ring_router.routes"), 0u);
+}
+
+TEST(QueryEngine, ResilientBatchChargesQueryScratch) {
+  // A faulty batch runs the same shard loop as a plain one, so its
+  // per-shard buffers (the fault scratch included) are charged too.
+  const auto net = make_net(512);
+  const LinkTable links = registry::build_family(net, "crescendo", 5);
+  const auto router = registry::family("crescendo").make_router(net, links);
+  const QueryEngine engine(net);
+  const auto queries = uniform_workload(net, 1000, Rng(12));
+  FaultPlan plan = FaultPlan::fail_fraction(net.size(), 0.3, 5);
+  plan.set_drop(0.05);
+
+  telemetry::MemoryAccountant acct;
+  telemetry::install_mem_accountant(&acct);
+  const ResilientStats stats = router.run_resilient(engine, queries, plan);
+  telemetry::install_mem_accountant(nullptr);
+
+  EXPECT_GT(stats.retries, 0u);
+  const auto tag = acct.tags().find("query.scratch");
+  ASSERT_NE(tag, acct.tags().end());
+  EXPECT_GT(tag->second.peak, 0u);
+  EXPECT_EQ(tag->second.current, 0u);  // released after the batch
 }
 
 TEST(QueryEngine, SinkModeReplaysFaithfulTracesInWorkloadOrder) {

@@ -4,15 +4,18 @@
 
 #include <cmath>
 
+#include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
+#include "canon/proximity.h"
 #include "common/rng.h"
+#include "dht/can.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
 #include "overlay/family_registry.h"
 #include "overlay/message_sim.h"
 #include "overlay/population.h"
-#include "overlay/resilient_routing.h"
+#include "overlay/routing.h"
 
 namespace canon {
 namespace {
@@ -41,13 +44,12 @@ TEST(ResilientRouting, NoFailuresMatchesPlainGreedy) {
   const auto net = make_population(spec_of(400, 3), rng);
   const auto links = build_crescendo(net);
   const FailureSet failures(net.size());
-  const RingRouter plain(net, links);
-  const ResilientRingRouter resilient(net, links);
+  const RingRouter router(net, links);
   for (int t = 0; t < 200; ++t) {
     const auto from = static_cast<std::uint32_t>(rng.uniform(net.size()));
     const NodeId key = net.space().wrap(rng());
-    const Route a = plain.route(from, key);
-    const Route b = resilient.route(from, key, failures);
+    const Route a = router.route(from, key);
+    const Route b = router.route(from, key, failures);
     EXPECT_TRUE(b.ok);
     EXPECT_EQ(b.terminal(), a.terminal());
   }
@@ -61,7 +63,7 @@ TEST(ResilientRouting, LiveResponsibleSkipsDeadPredecessors) {
   const NodeId key = net.space().wrap(rng());
   const std::uint32_t owner = net.responsible(key);
   failures.kill(owner);
-  const ResilientRingRouter router(net, links);
+  const RingRouter router(net, links);
   const std::uint32_t fallback = router.live_responsible(key, failures);
   EXPECT_NE(fallback, owner);
   // The fallback is the next live predecessor.
@@ -81,7 +83,7 @@ TEST_P(FailureRateTest, SurvivesRandomFailures) {
       failures.kill(i);
     }
   }
-  const ResilientRingRouter router(net, links, /*leaf_set=*/8);
+  const RingRouter router(net, links, /*leaf_set=*/8);
   int ok = 0;
   int total = 0;
   for (int t = 0; t < 300; ++t) {
@@ -102,14 +104,42 @@ TEST_P(FailureRateTest, SurvivesRandomFailures) {
 INSTANTIATE_TEST_SUITE_P(Rates, FailureRateTest,
                          ::testing::Values(5, 15, 30));
 
+/// Expects both faulty overloads of `router` to refuse dead source 0.
+template <typename Router>
+void expect_rejects_dead_source(const Router& router,
+                                const FailureSet& failures,
+                                const char* name) {
+  DropRoller drops;
+  FaultScratch scratch;
+  Route path;
+  EXPECT_THROW(router.route_into(0, 1, failures, drops, scratch, path),
+               std::invalid_argument)
+      << name;
+  EXPECT_THROW(router.probe(0, 1, failures, drops, scratch),
+               std::invalid_argument)
+      << name;
+}
+
 TEST(ResilientRouting, RejectsDeadSource) {
   Rng rng(904);
   const auto net = make_population(spec_of(50, 1), rng);
-  const auto links = build_crescendo(net);
   FailureSet failures(net.size());
   failures.kill(0);
-  const ResilientRingRouter router(net, links);
-  EXPECT_THROW(router.route(0, 1, failures), std::invalid_argument);
+  const auto crescendo = build_crescendo(net);
+  const RingRouter ring(net, crescendo);
+  EXPECT_THROW(ring.route(0, 1, failures), std::invalid_argument);
+  expect_rejects_dead_source(ring, failures, "RingRouter");
+  const auto kademlia = build_kademlia(net, BucketChoice::kClosest, rng);
+  expect_rejects_dead_source(XorRouter(net, kademlia), failures, "XorRouter");
+  const CanNetwork can = build_can(net);
+  expect_rejects_dead_source(CanRouter(net, can.tree, can.links), failures,
+                             "CanRouter");
+  const CanCanNetwork cancan(net);
+  expect_rejects_dead_source(CanCanRouter(cancan), failures, "CanCanRouter");
+  const GroupedOverlay groups(net, ProximityConfig{}.target_group_size);
+  const LinkTable prox = registry::build_family(net, "chord_prox", 904);
+  expect_rejects_dead_source(GroupRouter(net, groups, prox), failures,
+                             "GroupRouter");
 }
 
 /// Submits `count` random lookups, one per millisecond, to an α=3
