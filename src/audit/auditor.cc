@@ -69,9 +69,6 @@ std::string AuditReport::summary() const {
 StructureAuditor::StructureAuditor(const OverlayNetwork& net,
                                    const LinkTable& links)
     : net_(&net), links_(&links) {
-  if (!links.finalized()) {
-    throw std::invalid_argument("StructureAuditor: links not finalized");
-  }
   if (links.node_count() != net.size()) {
     throw std::invalid_argument(
         "StructureAuditor: link table size does not match the network");
@@ -126,17 +123,15 @@ void StructureAuditor::check_csr(AuditReport& r) const {
                 : "row not sorted ascending at position " + std::to_string(k));
         sorted_ok = false;
       }
-      if (links_->has_inline_ids()) {
-        ++evaluated;
-        if (links_->neighbor_ids(m)[k] != net_->id(row[k]) && ids_ok) {
-          add_violation(r, "csr.inline_ids", m, -1,
-                        "inline NodeId misaligned at position " +
-                            std::to_string(k) + " (have " +
-                            id_to_hex(links_->neighbor_ids(m)[k],
-                                      net_->space().bits()) +
-                            ", index says " + hex_of(*net_, row[k]) + ")");
-          ids_ok = false;
-        }
+      ++evaluated;
+      if (links_->neighbor_ids(m)[k] != net_->id(row[k]) && ids_ok) {
+        add_violation(r, "csr.inline_ids", m, -1,
+                      "inline NodeId misaligned at position " +
+                          std::to_string(k) + " (have " +
+                          id_to_hex(links_->neighbor_ids(m)[k],
+                                    net_->space().bits()) +
+                          ", index says " + hex_of(*net_, row[k]) + ")");
+        ids_ok = false;
       }
     }
   }
@@ -242,23 +237,22 @@ void StructureAuditor::check_chord_fingers(AuditReport& r,
                                            bool hierarchical) const {
   // Recompute every node's finger set with the construction rule itself —
   // conditions (a) and (b) — and byte-diff against the live table.
-  LinkTable expected(net_->size());
   const RingView whole = net_->ring();
-  for (std::uint32_t m = 0; m < net_->size(); ++m) {
-    if (hierarchical) {
-      add_crescendo_links(*net_, m, expected);
-    } else {
-      add_chord_fingers(*net_, whole, m, kNoLimit, expected);
-    }
-  }
-  expected.finalize();
+  const LinkTable expected = LinkTable::build(
+      net_->ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        if (hierarchical) {
+          add_crescendo_links(*net_, m, row);
+        } else {
+          add_chord_fingers(*net_, whole, m, kNoLimit, row);
+        }
+      });
   check_expected(r, expected, "chord.finger");
 }
 
 void StructureAuditor::check_expected(AuditReport& r,
                                       const LinkTable& expected,
                                       std::string_view check_name) const {
-  if (!expected.finalized() || expected.node_count() != net_->size()) {
+  if (expected.node_count() != net_->size()) {
     throw std::invalid_argument(
         "StructureAuditor::check_expected: bad expected table");
   }

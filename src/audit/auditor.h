@@ -96,8 +96,8 @@ struct AuditReport {
 
 class StructureAuditor {
  public:
-  /// `links` must be finalized (throws std::invalid_argument otherwise);
-  /// both references are borrowed for the auditor's lifetime.
+  /// `links` must span `net`'s nodes (throws std::invalid_argument
+  /// otherwise); both references are borrowed for the auditor's lifetime.
   StructureAuditor(const OverlayNetwork& net, const LinkTable& links);
 
   // Individual batteries. Each appends to `r.violations`, bumps its entry

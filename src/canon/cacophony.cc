@@ -1,6 +1,5 @@
 #include "canon/cacophony.h"
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 #include "dht/chord.h"
@@ -9,36 +8,32 @@
 namespace canon {
 
 void add_cacophony_links(const OverlayNetwork& net, std::uint32_t m, Rng& rng,
-                         LinkTable& out) {
+                         std::vector<NodeIndex>& row) {
   const auto& chain = net.domains().domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   add_symphony_links(
       net, net.domain_ring(chain[static_cast<std::size_t>(leaf)]), m, kNoLimit,
-      /*draws=*/-1, rng, out);
+      /*draws=*/-1, rng, row);
   for (int level = leaf - 1; level >= 0; --level) {
     const std::uint64_t limit =
         net.domain_ring(chain[static_cast<std::size_t>(level + 1)])
             .successor_distance(net.id(m));
     add_symphony_links(
         net, net.domain_ring(chain[static_cast<std::size_t>(level)]), m, limit,
-        /*draws=*/-1, rng, out);
+        /*draws=*/-1, rng, row);
   }
 }
 
 LinkTable build_cacophony(const OverlayNetwork& net, Rng& rng) {
   telemetry::ScopedTimer timer("build.cacophony_ms");
-  LinkTable out(net.size());
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      add_cacophony_links(net, static_cast<std::uint32_t>(m), node_rng, out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        Rng node_rng = base.fork(m);
+        add_cacophony_links(net, m, node_rng, row);
+      });
 }
 
 }  // namespace canon

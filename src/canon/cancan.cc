@@ -47,10 +47,12 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net)
 
 CanCanNetwork::CanCanNetwork(const OverlayNetwork& net,
                              const telemetry::ScopedTimer&)
-    : zones_(net), links_(net.size()) {
+    : zones_(net), links_(build_links(net)) {}
+
+LinkTable CanCanNetwork::build_links(const OverlayNetwork& net) const {
   const DomainTree& dom = net.domains();
-  const auto add_node_links = [&](std::uint32_t m,
-                                  std::vector<std::uint32_t>& face) {
+  return LinkTable::build(net.ids(), [&](NodeIndex m,
+                                         std::vector<NodeIndex>& row) {
     const auto& chain = dom.domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
     const auto primary_len = [&](int level) {
@@ -58,10 +60,9 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net,
       return tree(d).zones_at(zones_.slot_in(m, d, level))[0].len;
     };
     // Leaf domain: every CAN edge.
-    for (const std::uint32_t v :
-         tree(chain[static_cast<std::size_t>(leaf)]).neighbors(m)) {
-      links_.add(m, v);
-    }
+    const auto leaf_edges = tree(chain[static_cast<std::size_t>(leaf)])
+                                .neighbors(m);
+    row.insert(row.end(), leaf_edges.begin(), leaf_edges.end());
     // Higher levels: a face edge survives the merge only if it is shorter
     // than the shortest lower-level link *for that face* (the per-bucket
     // reading of condition (b), as in Kandy). On the virtual hypercube a
@@ -83,20 +84,10 @@ CanCanNetwork::CanCanNetwork(const OverlayNetwork& net,
               net, child_ring, net.id(m), bits - 1 - pos);
           if (child_d != kNoLimit) continue;
         }
-        face.clear();
-        t.face_neighbors(m, pos, face);
-        for (const std::uint32_t v : face) links_.add(m, v);
+        t.face_neighbors(m, pos, row);
       }
     }
-  };
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin,
-                                           std::size_t end) {
-    std::vector<std::uint32_t> face;  // per-shard scratch
-    for (std::size_t m = begin; m < end; ++m) {
-      add_node_links(static_cast<std::uint32_t>(m), face);
-    }
   });
-  links_.finalize(net.ids());
 }
 
 namespace {

@@ -97,6 +97,9 @@ class CanCanNetwork {
   /// so build.cancan_ms spans the partitions and the link table.
   CanCanNetwork(const OverlayNetwork& net, const telemetry::ScopedTimer&);
 
+  /// The Canon-filtered link table over the already built zones_.
+  LinkTable build_links(const OverlayNetwork& net) const;
+
   CanCanZones zones_;
   LinkTable links_;
 };

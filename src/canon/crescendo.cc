@@ -7,12 +7,12 @@
 namespace canon {
 
 void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
-                         LinkTable& out) {
+                         std::vector<NodeIndex>& row) {
   const auto& chain = net.domains().domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   // Leaf domain: plain Chord among the members.
   add_chord_fingers(net, net.domain_ring(chain[static_cast<std::size_t>(leaf)]),
-                    m, kNoLimit, out);
+                    m, kNoLimit, row);
   // Merge levels, bottom-up: links must beat the child-ring successor.
   for (int level = leaf - 1; level >= 0; --level) {
     const std::uint64_t limit =
@@ -20,33 +20,35 @@ void add_crescendo_links(const OverlayNetwork& net, NodeIndex m,
             .successor_distance(net.id(m));
     add_chord_fingers(net,
                       net.domain_ring(chain[static_cast<std::size_t>(level)]),
-                      m, limit, out);
+                      m, limit, row);
   }
 }
 
-LinkTable build_crescendo_streamed(
-    const OverlayNetwork& net, std::size_t shard_nodes,
-    const std::function<void(std::size_t done, std::size_t shards)>&
-        on_shard) {
-  telemetry::ScopedTimer timer("build.crescendo_streamed_ms");
-  return LinkTable::build_streaming(
-      net.size(), net.ids(), shard_nodes,
-      [&net](NodeIndex m, LinkTable& sink) {
-        add_crescendo_links(net, m, sink);
+namespace {
+
+LinkTable build_crescendo_table(const OverlayNetwork& net,
+                                std::size_t shard_nodes,
+                                const LinkTable::ShardFn& on_shard) {
+  return LinkTable::build(
+      net.ids(),
+      [&net](NodeIndex m, std::vector<NodeIndex>& row) {
+        add_crescendo_links(net, m, row);
       },
-      on_shard);
+      shard_nodes, on_shard);
 }
+
+}  // namespace
 
 LinkTable build_crescendo(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.crescendo_ms");
-  LinkTable out(net.size());
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      add_crescendo_links(net, static_cast<std::uint32_t>(m), out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return build_crescendo_table(net, kNodeGrain, {});
+}
+
+LinkTable build_crescendo_streamed(const OverlayNetwork& net,
+                                   std::size_t shard_nodes,
+                                   const LinkTable::ShardFn& on_shard) {
+  telemetry::ScopedTimer timer("build.crescendo_streamed_ms");
+  return build_crescendo_table(net, shard_nodes, on_shard);
 }
 
 }  // namespace canon

@@ -2,7 +2,6 @@
 
 #include "telemetry/scoped_timer.h"
 
-#include "common/parallel.h"
 #include "dht/chord.h"
 
 namespace canon {
@@ -10,14 +9,14 @@ namespace canon {
 namespace {
 
 void add_clique_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
-                                LinkTable& out) {
+                                std::vector<NodeIndex>& row) {
   const DomainTree& dom = net.domains();
   const auto& chain = dom.domain_chain(m);
   const int leaf = static_cast<int>(chain.size()) - 1;
   // Leaf domain: complete graph.
   const RingView leaf_ring =
       net.domain_ring(chain[static_cast<std::size_t>(leaf)]);
-  for (const std::uint32_t v : leaf_ring.members()) out.add(m, v);
+  for (const std::uint32_t v : leaf_ring.members()) row.push_back(v);
   // Higher levels: the standard Crescendo merge.
   for (int level = leaf - 1; level >= 0; --level) {
     const std::uint64_t limit =
@@ -25,7 +24,7 @@ void add_clique_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
             .successor_distance(net.id(m));
     add_chord_fingers(net,
                       net.domain_ring(chain[static_cast<std::size_t>(level)]),
-                      m, limit, out);
+                      m, limit, row);
   }
 }
 
@@ -33,14 +32,10 @@ void add_clique_crescendo_links(const OverlayNetwork& net, std::uint32_t m,
 
 LinkTable build_clique_crescendo(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.clique_crescendo_ms");
-  LinkTable out(net.size());
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      add_clique_crescendo_links(net, static_cast<std::uint32_t>(m), out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        add_clique_crescendo_links(net, m, row);
+      });
 }
 
 }  // namespace canon

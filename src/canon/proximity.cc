@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "common/prefetch.h"
 #include "dht/chord.h"
 #include "overlay/batch_probe.h"
@@ -110,7 +109,8 @@ std::uint32_t pick_nearest(const std::vector<std::uint32_t>& members,
 /// kNoLimit for flat Chord Prox). Endpoints are latency-sampled.
 void add_group_links(const GroupedOverlay& groups, std::uint32_t m,
                      std::uint64_t group_limit, const HopCost& latency,
-                     const ProximityConfig& cfg, Rng& rng, LinkTable& out) {
+                     const ProximityConfig& cfg, Rng& rng,
+                     std::vector<NodeIndex>& row) {
   const int T = groups.prefix_bits();
   const NodeId g = groups.gid_of_node(m);
   for (int k = 0; k < T; ++k) {
@@ -123,15 +123,15 @@ void add_group_links(const GroupedOverlay& groups, std::uint32_t m,
     if (covered == 0 || covered >= group_limit) continue;
     const std::uint32_t v =
         pick_nearest(target.members, m, latency, cfg.sample_size, rng);
-    if (v != RingView::kNone) out.add(m, v);
+    if (v != RingView::kNone) row.push_back(v);
   }
 }
 
 void add_clique_links(const GroupedOverlay& groups, std::uint32_t m,
-                      LinkTable& out) {
+                      std::vector<NodeIndex>& row) {
   const auto& mine =
       groups.groups()[static_cast<std::size_t>(groups.group_index_of(m))];
-  for (const std::uint32_t v : mine.members) out.add(m, v);
+  for (const std::uint32_t v : mine.members) row.push_back(v);
 }
 
 }  // namespace
@@ -141,20 +141,15 @@ LinkTable build_chord_prox(const OverlayNetwork& net,
                            const HopCost& latency, const ProximityConfig& cfg,
                            Rng& rng) {
   telemetry::ScopedTimer timer("build.chord_prox_ms");
-  LinkTable out(net.size());
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto m = static_cast<std::uint32_t>(i);
-      Rng node_rng = base.fork(m);
-      add_clique_links(groups, m, out);
-      add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        Rng node_rng = base.fork(m);
+        add_clique_links(groups, m, row);
+        add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, row);
+      });
 }
 
 LinkTable build_crescendo_prox(const OverlayNetwork& net,
@@ -162,28 +157,28 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                const HopCost& latency,
                                const ProximityConfig& cfg, Rng& rng) {
   telemetry::ScopedTimer timer("build.crescendo_prox_ms");
-  LinkTable out(net.size());
   const DomainTree& dom = net.domains();
-  const auto add_node_links = [&](std::uint32_t m, Rng& node_rng) {
-    add_clique_links(groups, m, out);
+  const auto add_node_links = [&](std::uint32_t m, Rng& node_rng,
+                                  std::vector<NodeIndex>& row) {
+    add_clique_links(groups, m, row);
     const auto& chain = dom.domain_chain(m);
     const int leaf = static_cast<int>(chain.size()) - 1;
     if (leaf == 0) {
       // Flat population: the whole structure is group-based.
-      add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, out);
+      add_group_links(groups, m, kNoLimit, latency, cfg, node_rng, row);
       return;
     }
     // Normal Crescendo inside the leaf and at every merge except the root.
     add_chord_fingers(net,
                       net.domain_ring(chain[static_cast<std::size_t>(leaf)]),
-                      m, kNoLimit, out);
+                      m, kNoLimit, row);
     for (int level = leaf - 1; level >= 1; --level) {
       const std::uint64_t limit =
           net.domain_ring(chain[static_cast<std::size_t>(level + 1)])
               .successor_distance(net.id(m));
       add_chord_fingers(
           net, net.domain_ring(chain[static_cast<std::size_t>(level)]), m,
-          limit, out);
+          limit, row);
     }
     // Top-level merge: group-based, with condition (b) at group
     // granularity — only groups strictly closer than the group of the
@@ -196,19 +191,16 @@ LinkTable build_crescendo_prox(const OverlayNetwork& net,
                                           groups.gid_of_node(succ));
       if (group_limit == 0) return;  // child successor shares the group
     }
-    add_group_links(groups, m, group_limit, latency, cfg, node_rng, out);
+    add_group_links(groups, m, group_limit, latency, cfg, node_rng, row);
   };
   // Per-node forked RNG streams (see build_symphony): deterministic at any
   // thread count.
   const Rng base = rng;
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      Rng node_rng = base.fork(m);
-      add_node_links(static_cast<std::uint32_t>(m), node_rng);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        Rng node_rng = base.fork(m);
+        add_node_links(m, node_rng, row);
+      });
 }
 
 namespace {
@@ -261,26 +253,21 @@ struct GroupOrder {
     return {gcov, icov};
   }
 
-  /// Calls visit(j, rank) for every candidate j of one CSR row, reading its
-  /// id from the row's inline ids when the table captured them (`ids`
-  /// non-null), else from the overlay.
+  /// Calls visit(j, rank) for every candidate j of one CSR row, given the
+  /// row's inline ids.
   template <typename Visit>
-  void scan(std::span<const NodeIndex> row, const NodeId* ids,
-            Visit&& visit) const {
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      visit(j, rank(ids ? ids[j] : net.id(row[j])));
-    }
+  void scan(std::span<const NodeId> ids, Visit&& visit) const {
+    for (std::size_t j = 0; j < ids.size(); ++j) visit(j, rank(ids[j]));
   }
 
   /// Index of the strict, first-best progress in the row, or
   /// detail::kNoWinner. `keep(j)` is asked only of a candidate that would
   /// become the new best, and may veto it.
   template <typename Keep>
-  std::size_t argbest(std::span<const NodeIndex> row, const NodeId* ids,
-                      Keep&& keep) const {
+  std::size_t argbest(std::span<const NodeId> ids, Keep&& keep) const {
     std::size_t best = detail::kNoWinner;
     GroupRank best_rank;
-    scan(row, ids, [&](std::size_t j, const GroupRank& r) {
+    scan(ids, [&](std::size_t j, const GroupRank& r) {
       if (r < best_rank && keep(j)) {
         best = j;
         best_rank = r;
@@ -330,7 +317,7 @@ ResilientProbe group_walk(const OverlayNetwork& net,
     if (clique_hop && !links.has_link(current, target)) return p;  // stuck
     const GroupOrder order(net, groups, cur_id, target_gid, key);
     const auto row = links.neighbors(current);
-    const NodeId* ids = detail::row_ids(links, current);
+    const auto ids = links.neighbor_ids(current);
     int attempts = 0;
     if constexpr (kFaults) {
       faults.scratch.banned.clear();
@@ -339,7 +326,7 @@ ResilientProbe group_walk(const OverlayNetwork& net,
     NodeIndex next = target;
     for (;;) {  // per-hop retry ladder
       if (!clique_hop) {
-        const std::size_t j = order.argbest(row, ids, [&](std::size_t c) {
+        const std::size_t j = order.argbest(ids, [&](std::size_t c) {
           if constexpr (kFaults) {
             return !faults.dead.dead(row[c]) && !faults.banned_node(row[c]);
           }
@@ -425,17 +412,16 @@ struct GroupLane {
                 : RouteProbe{l.current, l.hops, false};
       return true;
     }
-    const std::span<const NodeIndex> row(links.targets_data() + l.row_begin,
-                                         l.row_end - l.row_begin);
-    const NodeId* ids = links.target_ids_data() + l.row_begin;
+    const std::span<const NodeId> ids(links.target_ids_data() + l.row_begin,
+                                      l.row_end - l.row_begin);
     const std::size_t j =
         GroupOrder(net, groups, l.cur_id, l.target_gid, l.key)
-            .argbest(row, ids, [](std::size_t) { return true; });
+            .argbest(ids, [](std::size_t) { return true; });
     if (j == detail::kNoWinner) {
       out = {l.current, l.hops, false};
       return true;
     }
-    l.current = row[j];
+    l.current = links.targets_data()[l.row_begin + j];
     l.cur_id = ids[j];
     ++l.hops;
     links.prefetch_row_bounds(l.current);
@@ -501,7 +487,7 @@ ResilientProbe GroupRouter::probe(std::uint32_t from, NodeId key,
 
 void GroupRouter::probe_batch(std::span<const Query> queries,
                               std::span<RouteProbe> out) const {
-  detail::probe_batch_with(queries, out, *this, *links_,
+  detail::probe_batch_with(queries, out, *this,
                            GroupLane{*net_, *groups_, *links_, max_hops_});
 }
 
@@ -520,7 +506,7 @@ StepResult GroupRouter::step(std::uint32_t at, NodeId key,
   const GroupOrder order(*net_, *groups_, cur_id, target_gid, key);
   const auto row = links_->neighbors(at);
   detail::TopK<GroupRank> top(out.size());
-  order.scan(row, detail::row_ids(*links_, at),
+  order.scan(links_->neighbor_ids(at),
              [&](std::size_t j, const GroupRank& r) {
                if (r < GroupRank{}) top.push(r, row[j]);
              });

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/parallel.h"
 #include "overlay/greedy_kernel.h"
 #include "telemetry/scoped_timer.h"
 
@@ -186,18 +185,11 @@ CanNetwork build_can(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.can_ms");
   const RingView ring = net.ring();
   ZoneTree tree(net, ring.members());
-  LinkTable links(net.size());
-  const auto members = ring.members();
-  parallel_for(members.size(), kNodeGrain,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   const std::uint32_t m = members[i];
-                   for (const std::uint32_t v : tree.neighbors(m)) {
-                     links.add(m, v);
-                   }
-                 }
-               });
-  links.finalize(net.ids());
+  LinkTable links = LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        const auto neighbors = tree.neighbors(m);
+        row.insert(row.end(), neighbors.begin(), neighbors.end());
+      });
   return CanNetwork{std::move(tree), std::move(links)};
 }
 

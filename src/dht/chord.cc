@@ -1,12 +1,12 @@
 #include "dht/chord.h"
 
-#include "common/parallel.h"
 #include "telemetry/scoped_timer.h"
 
 namespace canon {
 
 void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
-                       std::uint32_t m, std::uint64_t limit, LinkTable& out) {
+                       std::uint32_t m, std::uint64_t limit,
+                       std::vector<NodeIndex>& row) {
   const IdSpace& space = net.space();
   const NodeId mid = net.id(m);
   for (int k = 0; k < space.bits(); ++k) {
@@ -14,22 +14,17 @@ void add_chord_fingers(const OverlayNetwork& net, const RingView& ring,
     if (dist >= limit) break;  // all further fingers are at least this far
     const std::uint32_t v = ring.first_at_distance(mid, dist);
     if (v == RingView::kNone || v == m) continue;
-    if (space.ring_distance(mid, net.id(v)) < limit) out.add(m, v);
+    if (space.ring_distance(mid, net.id(v)) < limit) row.push_back(v);
   }
 }
 
 LinkTable build_chord(const OverlayNetwork& net) {
   telemetry::ScopedTimer timer("build.chord_ms");
-  LinkTable out(net.size());
   const RingView ring = net.ring();
-  parallel_for(net.size(), kNodeGrain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t m = begin; m < end; ++m) {
-      add_chord_fingers(net, ring, static_cast<std::uint32_t>(m), kNoLimit,
-                        out);
-    }
-  });
-  out.finalize(net.ids());
-  return out;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        add_chord_fingers(net, ring, m, kNoLimit, row);
+      });
 }
 
 }  // namespace canon

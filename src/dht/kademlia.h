@@ -49,7 +49,7 @@ enum class MergePolicy {
 void add_kademlia_links(const OverlayNetwork& net, const RingView& ring,
                         std::uint32_t m, const RingView* child,
                         BucketChoice choice, MergePolicy policy, Rng& rng,
-                        LinkTable& out, int replication = 1);
+                        std::vector<NodeIndex>& row, int replication = 1);
 
 /// XOR distance from `m` to its closest other member of `ring`
 /// (kNoLimit if `ring` holds only m).

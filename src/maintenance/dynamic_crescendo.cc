@@ -28,15 +28,12 @@ void DynamicCrescendo::rebuild_network() {
 }
 
 LinkTable DynamicCrescendo::link_table() const {
-  LinkTable table(net_->size());
-  for (const auto& [id, neighbors] : links_) {
-    const std::uint32_t from = net_->index_of(id);
-    for (const NodeId nb : neighbors) table.add(from, net_->index_of(nb));
-  }
-  // Capture inline neighbor IDs so routers built on maintenance snapshots
-  // use the same flat CSR fast path as the static builders.
-  table.finalize(net_->ids());
-  return table;
+  return LinkTable::build(
+      net_->ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        for (const NodeId nb : links_.at(net_->id(m))) {
+          row.push_back(net_->index_of(nb));
+        }
+      });
 }
 
 std::vector<NodeId> DynamicCrescendo::affected_ids(std::uint32_t pivot) const {
@@ -77,16 +74,15 @@ std::vector<NodeId> DynamicCrescendo::affected_ids(std::uint32_t pivot) const {
 
 void DynamicCrescendo::recompute_links(const std::vector<NodeId>& ids) {
   // Compute fresh links for the given nodes on the current network.
-  LinkTable scratch(net_->size());
+  std::vector<NodeIndex> row;
   for (const NodeId id : ids) {
-    add_crescendo_links(*net_, net_->index_of(id), scratch);
-  }
-  scratch.finalize();
-  for (const NodeId id : ids) {
+    const NodeIndex m = net_->index_of(id);
+    row.clear();
+    add_crescendo_links(*net_, m, row);
+    normalize_row(row, m, net_->size());
     std::vector<NodeId> neighbors;
-    for (const std::uint32_t v : scratch.neighbors(net_->index_of(id))) {
-      neighbors.push_back(net_->id(v));
-    }
+    neighbors.reserve(row.size());
+    for (const NodeIndex v : row) neighbors.push_back(net_->id(v));
     links_[id] = std::move(neighbors);
   }
 }

@@ -46,7 +46,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "overlay/link_table.h"
 #include "overlay/routing.h"
 
 namespace canon::detail {
@@ -94,17 +93,16 @@ void interleaved_probe_batch(std::span<const Query> queries,
 }
 
 /// The probe_batch shell every router shares: the scalar probe loop when
-/// batching is off or the table has no inline ids (the lanes scan
-/// target_ids_), else the interleaved driver over `st`'s lanes.
+/// batching is off, else the interleaved driver over `st`'s lanes.
 template <typename Router, typename Stepper>
 void probe_batch_with(std::span<const Query> queries,
                       std::span<RouteProbe> out, const Router& router,
-                      const LinkTable& links, const Stepper& st) {
+                      const Stepper& st) {
   if (queries.size() != out.size()) {
     throw std::invalid_argument("probe_batch: out.size() != queries.size()");
   }
   const int width = probe_batch_width();
-  if (width <= 0 || !links.has_inline_ids()) {
+  if (width <= 0) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       out[i] = router.probe(queries[i].from, queries[i].key);
     }

@@ -22,7 +22,7 @@
 // The CAN and Can-Can walks (dht/can.cc, canon/cancan.cc) rank by their
 // zone-match scan, and the group walk (canon/proximity.cc) by its two-key
 // group order, instead of a metric; they share the NoFaults/Faults
-// policies, the recorders, row_ids, detail::TopK, the live XOR takeover
+// policies, the recorders, detail::TopK, the live XOR takeover
 // scan and the faulty entry points' dispatch (with_faults).
 //
 // Internal header: included by routing.cc, stepper.cc, dht/can.cc,
@@ -171,24 +171,12 @@ Pick argmin_rank(const Metric& metric, NodeId key, std::uint64_t remaining,
   return best;
 }
 
-/// A CSR row's inline ids when the table captured them, else null: the
-/// readers then fall back to the overlay's id array.
-inline const NodeId* row_ids(const LinkTable& links, NodeIndex node) {
-  return links.has_inline_ids() ? links.neighbor_ids(node).data() : nullptr;
-}
-
-/// argmin_rank over one CSR row: its inline ids when the table captured
-/// them (`ids` non-null, see row_ids), else the overlay's id array.
+/// argmin_rank over one CSR row's inline ids.
 template <typename Metric, typename Keep = KeepAll>
 Pick argmin_row(const Metric& metric, NodeId key, std::uint64_t remaining,
-                std::span<const NodeIndex> row, const NodeId* ids,
-                Keep&& keep = {}) {
-  if (ids) {
-    return argmin_rank(metric, key, remaining, row.size(),
-                       [ids](std::size_t j) { return ids[j]; }, keep);
-  }
-  return argmin_rank(metric, key, remaining, row.size(),
-                     [&](std::size_t j) { return metric.net->id(row[j]); },
+                std::span<const NodeId> ids, Keep&& keep = {}) {
+  return argmin_rank(metric, key, remaining, ids.size(),
+                     [data = ids.data()](std::size_t j) { return data[j]; },
                      keep);
 }
 
@@ -252,10 +240,10 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
     const NodeIndex current = p.terminal;
     const std::uint64_t remaining = metric.rank(net.id(current), key);
     const auto row = links.neighbors(current);
-    const NodeId* ids = row_ids(links, current);
+    const auto ids = links.neighbor_ids(current);
     NodeIndex next = current;
     if constexpr (!FaultPolicy::kActive) {
-      const Pick pick = argmin_row(metric, key, remaining, row, ids);
+      const Pick pick = argmin_row(metric, key, remaining, ids);
       if (pick.index == kNoWinner) {
         p.ok = current == metric.terminal(key);
         return p;
@@ -267,7 +255,7 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
       for (int attempts = kRetryBudget;;) {  // per-hop retry ladder
         std::uint64_t best_any = remaining;  // incl. dead and banned
         const Pick pick = argmin_row(
-            metric, key, remaining, row, ids,
+            metric, key, remaining, ids,
             [&](std::size_t j, std::uint64_t r) {
               best_any = std::min(best_any, r);
               return !faults.dead.dead(row[j]) &&

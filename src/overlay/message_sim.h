@@ -98,8 +98,8 @@ class MessageSimulator {
   /// `stepper` empty selects the greedy-clockwise ring stepper; pass a
   /// family's stepper from registry::family(name).make_stepper for any
   /// other family. `latency` empty charges default_hop_ms per message.
-  /// Throws std::invalid_argument on un-finalized links or a config out
-  /// of range.
+  /// Throws std::invalid_argument on a link table of another size or a
+  /// config out of range.
   MessageSimulator(const OverlayNetwork& net, const LinkTable& links,
                    Stepper stepper = {}, HopCost latency = {},
                    MessageSimConfig config = {});

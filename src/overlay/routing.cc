@@ -37,10 +37,10 @@ RouteProbe ring_lookahead_core(const detail::RingMetric& metric,
     NodeIndex best_w = current;  // == best_v for 1-step plans
     std::uint64_t best_final = remaining;
     const auto row = links.neighbors(current);
-    const NodeId* ids = detail::row_ids(links, current);
+    const auto ids = links.neighbor_ids(current);
     for (std::size_t j = 0; j < row.size(); ++j) {
       const NodeIndex v = row[j];
-      const std::uint64_t after1 = metric.rank(ids ? ids[j] : net.id(v), key);
+      const std::uint64_t after1 = metric.rank(ids[j], key);
       if (after1 >= remaining) continue;  // no progress, or overshoots
       if (after1 < best_final) {
         best_final = after1;
@@ -49,8 +49,8 @@ RouteProbe ring_lookahead_core(const detail::RingMetric& metric,
       }
       // best_final <= after1 now, so the second step lowers both.
       const auto second = links.neighbors(v);
-      const detail::Pick w = detail::argmin_row(metric, key, best_final, second,
-                                                detail::row_ids(links, v));
+      const detail::Pick w = detail::argmin_row(metric, key, best_final,
+                                                links.neighbor_ids(v));
       if (w.index != detail::kNoWinner) {
         best_final = w.rank;
         best_v = v;
@@ -119,10 +119,6 @@ void require_routable(const OverlayNetwork& net, const LinkTable& links,
     throw std::invalid_argument(std::string(who) +
                                 ": link table size mismatch");
   }
-  if (!links.finalized()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": link table not finalized");
-  }
 }
 
 RingRouter::RingRouter(const OverlayNetwork& net, const LinkTable& links,
@@ -155,7 +151,7 @@ RouteProbe RingRouter::probe(NodeIndex from, NodeId key) const {
 void RingRouter::probe_batch(std::span<const Query> queries,
                              std::span<RouteProbe> out) const {
   detail::probe_batch_with(
-      queries, out, *this, *links_,
+      queries, out, *this,
       detail::GreedyLane<detail::RingMetric>{detail::RingMetric(*net_),
                                              *links_, max_hops_});
 }
@@ -259,7 +255,7 @@ RouteProbe XorRouter::probe(NodeIndex from, NodeId key) const {
 void XorRouter::probe_batch(std::span<const Query> queries,
                             std::span<RouteProbe> out) const {
   detail::probe_batch_with(
-      queries, out, *this, *links_,
+      queries, out, *this,
       detail::GreedyLane<detail::XorMetric>{detail::XorMetric(*net_),
                                             *links_, max_hops_});
 }

@@ -82,9 +82,9 @@ inline int hop_guard(const OverlayNetwork& net) {
   return 4 * net.space().bits() + 16;
 }
 
-/// Throws std::invalid_argument, prefixed by `who`, unless `links` is a
-/// finalized table over exactly `net`'s nodes — the precondition of every
-/// router and simulator that indexes the table by `net`'s node indices.
+/// Throws std::invalid_argument, prefixed by `who`, unless `links` spans
+/// exactly `net`'s nodes — the precondition of every router and simulator
+/// that indexes the table by `net`'s node indices.
 void require_routable(const OverlayNetwork& net, const LinkTable& links,
                       const char* who);
 

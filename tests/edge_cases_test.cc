@@ -9,6 +9,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "audit/auditor.h"
 #include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/proximity.h"
@@ -46,8 +47,8 @@ TEST(EdgeCases, SixtyFourBitIdSpace) {
 
 TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
   // A table built for a smaller network would be indexed past its CSR
-  // offsets by the larger network's node indices; an unfinalized one has
-  // no CSR at all. Every router and simulator must refuse both up front.
+  // offsets by the larger network's node indices. Every router, the
+  // simulator and the auditor must refuse it up front.
   Rng rng(1102);
   PopulationSpec spec;
   spec.node_count = 64;
@@ -55,7 +56,6 @@ TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
   spec.node_count = 512;
   const auto net = make_population(spec, rng);
   const LinkTable foreign = build_crescendo(small);
-  const LinkTable unfinalized(net.size());
   const ZoneTree tree(net, net.ring().members());
   const CanCanZones zones(net);
   const GroupedOverlay groups(net, 8);
@@ -68,10 +68,11 @@ TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
       {"CanCanRouter", [&](const LinkTable& t) { CanCanRouter(zones, t); }},
       {"MessageSimulator",
        [&](const LinkTable& t) { MessageSimulator(net, t); }},
+      {"StructureAuditor",
+       [&](const LinkTable& t) { audit::StructureAuditor(net, t); }},
   };
   for (const auto& [name, make] : constructors) {
     EXPECT_THROW(make(foreign), std::invalid_argument) << name;
-    EXPECT_THROW(make(unfinalized), std::invalid_argument) << name;
   }
 }
 

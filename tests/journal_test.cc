@@ -129,8 +129,8 @@ TEST(Journal, MessageSimEmitsLookupFailures) {
   nodes.push_back({100, {}, -1});
   nodes.push_back({200, {}, -1});
   const OverlayNetwork net(space, std::move(nodes));
-  LinkTable links(2);
-  links.finalize();  // no links at all
+  const LinkTable links = LinkTable::build(
+      net.ids(), [](NodeIndex, std::vector<NodeIndex>&) {});  // no links
   MessageSimulator sim(net, links);
   std::ostringstream os;
   EventJournal journal(os);

@@ -113,31 +113,31 @@ TEST(RingView, SingletonSuccessorDistanceUnbounded) {
             std::numeric_limits<std::uint64_t>::max());
 }
 
-TEST(LinkTable, AddFinalizeQuery) {
-  LinkTable t(4);
-  t.add(0, 1);
-  t.add(0, 1);  // duplicate collapses
-  t.add(0, 3);
-  t.add(0, 0);  // self-link ignored
-  t.finalize();
+TEST(LinkTable, BuildQuery) {
+  const std::vector<NodeId> ids = {10, 20, 30, 40};
+  const LinkTable t =
+      LinkTable::build(ids, [](NodeIndex m, std::vector<NodeIndex>& row) {
+        // A duplicate collapses and the self-link is dropped.
+        if (m == 0) row = {1, 1, 3, 0};
+      });
+  EXPECT_EQ(t.node_count(), 4u);
   EXPECT_EQ(t.degree(0), 2u);
   EXPECT_TRUE(t.has_link(0, 1));
   EXPECT_FALSE(t.has_link(1, 0));
   EXPECT_EQ(t.total_links(), 2u);
   EXPECT_DOUBLE_EQ(t.mean_degree(), 0.5);
-  EXPECT_THROW(t.add(0, 9), std::out_of_range);
-}
-
-TEST(LinkTable, UnfinalizedQueriesThrow) {
-  LinkTable t(2);
-  t.add(0, 1);
-  EXPECT_THROW(t.neighbors(0), std::logic_error);
-  EXPECT_THROW(t.degree(0), std::logic_error);
+  EXPECT_EQ(t.neighbor_ids(0)[1], 40u);
+  EXPECT_THROW(LinkTable::build(ids,
+                                [](NodeIndex, std::vector<NodeIndex>& row) {
+                                  row.push_back(9);
+                                }),
+               std::out_of_range);
 }
 
 TEST(LinkTable, SetNeighborsSanitizes) {
-  LinkTable t(5);
-  t.finalize();
+  const std::vector<NodeId> ids = {1, 2, 3, 4, 5};
+  LinkTable t =
+      LinkTable::build(ids, [](NodeIndex, std::vector<NodeIndex>&) {});
   t.set_neighbors(2, {4, 1, 4, 2, 1});
   const auto nb = t.neighbors(2);
   ASSERT_EQ(nb.size(), 2u);
@@ -148,16 +148,15 @@ TEST(LinkTable, SetNeighborsSanitizes) {
 // Builds the full Chord links on the small ring by brute force so the
 // routers can be tested independently of the dht module.
 LinkTable full_chord_links(const OverlayNetwork& net) {
-  LinkTable t(net.size());
   const RingView ring = net.ring();
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (int k = 0; k < net.space().bits(); ++k) {
-      const auto v = ring.first_at_distance(net.id(m), std::uint64_t{1} << k);
-      if (v != RingView::kNone) t.add(m, v);
-    }
-  }
-  t.finalize();
-  return t;
+  return LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        for (int k = 0; k < net.space().bits(); ++k) {
+          const auto v =
+              ring.first_at_distance(net.id(m), std::uint64_t{1} << k);
+          if (v != RingView::kNone) row.push_back(v);
+        }
+      });
 }
 
 TEST(RingRouter, ReachesResponsibleNodeForAllKeys) {
@@ -215,11 +214,10 @@ TEST(RingRouter, LookaheadNoWorseThanGreedy) {
 
 TEST(RingRouter, ValidatesLinkTable) {
   const auto net = small_net();
-  LinkTable wrong_size(3);
-  wrong_size.finalize();
+  const std::vector<NodeId> ids = {1, 2, 3};
+  const LinkTable wrong_size =
+      LinkTable::build(ids, [](NodeIndex, std::vector<NodeIndex>&) {});
   EXPECT_THROW(RingRouter(net, wrong_size), std::invalid_argument);
-  LinkTable unfinalized(net.size());
-  EXPECT_THROW(RingRouter(net, unfinalized), std::invalid_argument);
 }
 
 TEST(XorRouter, ReachesXorClosestWithFullBuckets) {
@@ -230,23 +228,23 @@ TEST(XorRouter, ReachesXorClosestWithFullBuckets) {
   const auto net = make_population(spec, rng);
   // Deterministic Kademlia-complete table: for every k, link to the
   // XOR-closest node in bucket [2^k, 2^{k+1}).
-  LinkTable t(net.size());
-  for (std::uint32_t m = 0; m < net.size(); ++m) {
-    for (std::uint32_t v = 0; v < net.size(); ++v) {
-      if (m == v) continue;
-      // Link if v is the closest node in its bucket.
-      const std::uint64_t d = net.space().xor_distance(net.id(m), net.id(v));
-      bool closest = true;
-      for (std::uint32_t w = 0; w < net.size(); ++w) {
-        if (w == m || w == v) continue;
-        const std::uint64_t dw =
-            net.space().xor_distance(net.id(m), net.id(w));
-        if (floor_log2(dw) == floor_log2(d) && dw < d) closest = false;
-      }
-      if (closest) t.add(m, v);
-    }
-  }
-  t.finalize();
+  const LinkTable t = LinkTable::build(
+      net.ids(), [&](NodeIndex m, std::vector<NodeIndex>& row) {
+        for (std::uint32_t v = 0; v < net.size(); ++v) {
+          if (m == v) continue;
+          // Link if v is the closest node in its bucket.
+          const std::uint64_t d =
+              net.space().xor_distance(net.id(m), net.id(v));
+          bool closest = true;
+          for (std::uint32_t w = 0; w < net.size(); ++w) {
+            if (w == m || w == v) continue;
+            const std::uint64_t dw =
+                net.space().xor_distance(net.id(m), net.id(w));
+            if (floor_log2(dw) == floor_log2(d) && dw < d) closest = false;
+          }
+          if (closest) row.push_back(v);
+        }
+      });
   const XorRouter router(net, t);
   for (int trial = 0; trial < 200; ++trial) {
     const std::uint32_t from =

@@ -254,7 +254,7 @@ TEST(ResourceReport, PipelineChargesEverySubsystemTag) {
   AccountantGuard g;
   const auto net = scale_population(kScaleNodes);
   const LinkTable links = build_crescendo_streamed(net);
-  EXPECT_TRUE(links.finalized());
+  EXPECT_EQ(links.node_count(), net.size());
   for (const char* tag :
        {"overlay.soa", "hierarchy.path_pool", "hierarchy.domain_tree",
         "link_table.csr", "overlay.stream_chunks"}) {
@@ -276,7 +276,7 @@ TEST(ResourceReport, AttributedBytesReconcileWithMeasuredRss) {
   AccountantGuard g;
   const auto net = scale_population(kScaleNodes);
   const LinkTable links = build_crescendo_streamed(net);
-  EXPECT_TRUE(links.finalized());
+  EXPECT_EQ(links.node_count(), net.size());
   const double after_mb = telemetry::current_rss_mb();
   const double grown_mb = after_mb - before_mb;
   // Reconcile against the ledger's *peak*: glibc rarely returns freed
