@@ -117,13 +117,11 @@ class BenchRun {
     // every --grain up to float-summation order (see query_grain() in
     // overlay/query_engine.h); check_json_schema.py strips all three from
     // compared reports.
-    set_parallel_threads(
-        static_cast<int>(flag_u64(argc, argv, "threads", 0)));
-    set_query_grain(
-        static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0)));
-    set_probe_batch_width(static_cast<int>(flag_u64(
-        argc, argv, "batch-width",
-        static_cast<std::uint64_t>(kDefaultProbeBatchWidth))));
+    static_assert(kMaxBatchWidthFlag == kMaxProbeBatchWidth);
+    const ExecKnobs knobs = exec_knobs(argc, argv, kDefaultProbeBatchWidth);
+    set_parallel_threads(knobs.threads);
+    set_query_grain(knobs.grain);
+    set_probe_batch_width(knobs.batch_width);
     record("threads", std::to_string(parallel_threads()),
            telemetry::JsonValue(
                static_cast<std::int64_t>(parallel_threads())));

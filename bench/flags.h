@@ -6,7 +6,8 @@
 // flag_bool treats as true). Unknown flags are ignored by these helpers;
 // binaries that want strictness can enumerate argv themselves. A numeric
 // value must parse whole: a sign, trailing garbage or overflow prints
-// "bad value for --<name>: '<value>'" to stderr and exits 2.
+// "bad value for --<name>: '<value>'" to stderr and exits 2, as does an
+// execution knob (exec_knobs) above its cap.
 #ifndef CANON_BENCH_FLAGS_H
 #define CANON_BENCH_FLAGS_H
 
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <cstddef>
 #include <string>
 #include <system_error>
 
@@ -62,6 +64,50 @@ inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
   std::uint64_t out = 0;
   parse_flag_value(name, v, out);
   return out;
+}
+
+/// flag_u64, but a value above `cap` also reports the flag and exits 2.
+inline std::uint64_t flag_u64_at_most(int argc, char** argv, const char* name,
+                                      std::uint64_t fallback,
+                                      std::uint64_t cap) {
+  const std::uint64_t out = flag_u64(argc, argv, name, fallback);
+  if (out > cap) {
+    std::fprintf(stderr, "bad value for --%s: '%s' (at most %llu)\n", name,
+                 flag_raw(argc, argv, name),
+                 static_cast<unsigned long long>(cap));
+    std::exit(2);
+  }
+  return out;
+}
+
+/// Caps of the execution knobs. A worker pool beyond a few hundred threads
+/// is never useful, a shard beyond 2^24 queries is one shard, and the
+/// batch kernel holds at most 64 lanes (kMaxProbeBatchWidth in
+/// overlay/routing.h).
+inline constexpr std::uint64_t kMaxThreadsFlag = 256;
+inline constexpr std::uint64_t kMaxGrainFlag = std::uint64_t{1} << 24;
+inline constexpr std::uint64_t kMaxBatchWidthFlag = 64;
+
+/// The execution knobs every bench binary takes: --threads (0 = hardware
+/// concurrency), --grain (0 = the default query shard) and --batch-width.
+struct ExecKnobs {
+  int threads = 0;
+  std::size_t grain = 0;
+  int batch_width = 0;
+};
+
+/// Parses the execution knobs, each checked against its cap before any
+/// narrowing, so no setter ever sees a wrapped or absurd value.
+inline ExecKnobs exec_knobs(int argc, char** argv, int default_batch_width) {
+  ExecKnobs k;
+  k.threads = static_cast<int>(
+      flag_u64_at_most(argc, argv, "threads", 0, kMaxThreadsFlag));
+  k.grain = static_cast<std::size_t>(
+      flag_u64_at_most(argc, argv, "grain", 0, kMaxGrainFlag));
+  k.batch_width = static_cast<int>(flag_u64_at_most(
+      argc, argv, "batch-width",
+      static_cast<std::uint64_t>(default_batch_width), kMaxBatchWidthFlag));
+  return k;
 }
 
 /// Parses "--name=value" as a non-negative decimal or scientific number;

@@ -43,16 +43,12 @@ inline int run_micro_benchmarks(int argc, char** argv,
   const std::string json_path = flag_str(argc, argv, "json", "");
   const std::uint64_t seed = flag_u64(argc, argv, "seed", 42);
   // --threads=N (0 ⇒ hardware_concurrency, 1 ⇒ exact serial path) for the
-  // construction benchmarks; deterministic, only affects wall clock.
-  set_parallel_threads(
-      static_cast<int>(flag_u64(argc, argv, "threads", 0)));
-  // Batch-engine knobs (see bench_util.h): results are width/grain
-  // invariant, only the memory schedule moves.
-  set_query_grain(
-      static_cast<std::size_t>(flag_u64(argc, argv, "grain", 0)));
-  set_probe_batch_width(static_cast<int>(flag_u64(
-      argc, argv, "batch-width",
-      static_cast<std::uint64_t>(kDefaultProbeBatchWidth))));
+  // construction benchmarks, and the batch-engine knobs (see
+  // bench_util.h): deterministic, they only move the wall clock.
+  const ExecKnobs knobs = exec_knobs(argc, argv, kDefaultProbeBatchWidth);
+  set_parallel_threads(knobs.threads);
+  set_query_grain(knobs.grain);
+  set_probe_batch_width(knobs.batch_width);
 
   // Hide our flags from google-benchmark's strict parser.
   std::vector<char*> args;

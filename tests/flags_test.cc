@@ -65,6 +65,48 @@ TEST(FlagsDeathTest, TrailingGarbageExitsWithUsageError) {
               "bad value for --min-nodes: '2e2'");
 }
 
+ExecKnobs parse_knobs(const std::vector<std::string>& args) {
+  Argv a(args);
+  return exec_knobs(a.argc(), a.argv(), 16);
+}
+
+TEST(Flags, ExecKnobsParseAtAndBelowTheirCaps) {
+  const ExecKnobs none = parse_knobs({});
+  EXPECT_EQ(none.threads, 0);
+  EXPECT_EQ(none.grain, 0u);
+  EXPECT_EQ(none.batch_width, 16);
+  const ExecKnobs set =
+      parse_knobs({"--threads=4", "--grain=512", "--batch-width=0"});
+  EXPECT_EQ(set.threads, 4);
+  EXPECT_EQ(set.grain, 512u);
+  EXPECT_EQ(set.batch_width, 0);
+  const ExecKnobs caps = parse_knobs(
+      {"--threads=" + std::to_string(kMaxThreadsFlag),
+       "--grain=" + std::to_string(kMaxGrainFlag),
+       "--batch-width=" + std::to_string(kMaxBatchWidthFlag)});
+  EXPECT_EQ(static_cast<std::uint64_t>(caps.threads), kMaxThreadsFlag);
+  EXPECT_EQ(caps.grain, kMaxGrainFlag);
+  EXPECT_EQ(static_cast<std::uint64_t>(caps.batch_width), kMaxBatchWidthFlag);
+}
+
+// These only parse: exec_knobs exits before any setter could start a
+// thread pool of the requested size.
+TEST(FlagsDeathTest, ExecKnobsAboveTheirCapsExitWithUsageError) {
+  EXPECT_EXIT(parse_knobs({"--threads=4294967295"}),
+              ::testing::ExitedWithCode(2),
+              "bad value for --threads: '4294967295'");
+  EXPECT_EXIT(parse_knobs({"--threads=" + std::to_string(kMaxThreadsFlag + 1)}),
+              ::testing::ExitedWithCode(2), "bad value for --threads");
+  EXPECT_EXIT(parse_knobs({"--threads=18446744073709551615"}),
+              ::testing::ExitedWithCode(2), "bad value for --threads");
+  EXPECT_EXIT(parse_knobs({"--grain=" + std::to_string(kMaxGrainFlag + 1)}),
+              ::testing::ExitedWithCode(2), "bad value for --grain");
+  EXPECT_EXIT(parse_knobs({"--batch-width=65"}), ::testing::ExitedWithCode(2),
+              "bad value for --batch-width: '65'");
+  EXPECT_EXIT(parse_knobs({"--batch-width=4294967312"}),
+              ::testing::ExitedWithCode(2), "bad value for --batch-width");
+}
+
 TEST(FlagsDeathTest, OverflowSignAndGarbageRejectedForEveryParser) {
   EXPECT_EXIT(parse_u64("--seed=18446744073709551616", "seed"),
               ::testing::ExitedWithCode(2), "bad value for --seed");
