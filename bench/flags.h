@@ -12,11 +12,11 @@
 #define CANON_BENCH_FLAGS_H
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <cstddef>
 #include <string>
 #include <system_error>
 

@@ -76,7 +76,8 @@ class LinkTable {
   /// fires after each shard from whichever worker ran it: it must be
   /// thread-safe, must not touch the table and never influences it (the
   /// resource observatory samples the RSS timeline through it,
-  /// bench/bench_scale.cc). Throws std::invalid_argument on shard_nodes == 0.
+  /// bench/bench_scale.cc). Throws std::invalid_argument on shard_nodes == 0
+  /// and std::out_of_range on a target that is not a node index.
   static LinkTable build(std::span<const NodeId> ids, const RowFn& add_links,
                          std::size_t shard_nodes = kNodeGrain,
                          const ShardFn& on_shard = {});
