@@ -94,6 +94,9 @@ int MessageSimulator::submit(std::uint32_t from, NodeId key, double at_ms) {
   if (from >= net_->size()) {
     throw std::out_of_range("MessageSimulator::submit: bad node");
   }
+  if (!std::isfinite(at_ms)) {
+    throw std::invalid_argument("MessageSimulator::submit: at_ms not finite");
+  }
   LookupResult result;
   result.from = from;
   result.key = key;
@@ -102,31 +105,37 @@ int MessageSimulator::submit(std::uint32_t from, NodeId key, double at_ms) {
   lookups_.push_back(result);
   Lookup lk;
   lk.frontier = from;
-  lk.path.push_back(from);
-  state_.push_back(std::move(lk));
+  state_.push_back(lk);
   trace_ids_.push_back(
       sinks_.trace ? sinks_.trace->begin_lookup(from, key) : 0);
   traced_.push_back(sinks_.trace != nullptr);
   if (sinks_.timeseries) sinks_.timeseries->lookup_issued(at_ms);
-  push_event(at_ms, Kind::kStart, id, -1);
+  starts_.push_back({at_ms, next_seq_++, id});
   return id;
 }
 
-void MessageSimulator::push_event(double at_ms, Kind kind,
-                                  std::int32_t lookup, std::int32_t probe,
-                                  std::int32_t attempt) {
+void MessageSimulator::push_event(double at_ms, std::uint64_t seq, Kind kind,
+                                  std::int32_t lookup, std::int32_t cand,
+                                  std::uint32_t stamp, NodeIndex target) {
   Event ev;
   ev.at_ms = at_ms;
-  ev.seq = next_seq_++;
+  ev.seq = seq;
   ev.lookup = lookup;
-  ev.probe = probe;
-  ev.attempt = attempt;
+  ev.stamp = stamp;
+  ev.target = target;
+  ev.cand = static_cast<std::uint8_t>(cand);
   ev.kind = kind;
   queue_.push(ev);
 }
 
 double MessageSimulator::link_ms(NodeIndex a, NodeIndex b) const {
   return latency_ ? latency_(a, b) : config_.default_hop_ms;
+}
+
+void MessageSimulator::advance_clock(double at_ms) {
+  now_ = std::max(now_, at_ms);
+  apply_faults_until(now_);
+  maybe_snapshot(now_);
 }
 
 void MessageSimulator::apply_faults_until(double now) {
@@ -193,6 +202,7 @@ double MessageSimulator::service(NodeIndex node, double at_ms) {
 void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
   Lookup& lk = state_[static_cast<std::size_t>(lookup)];
   LookupResult& result = lookups_[static_cast<std::size_t>(lookup)];
+  if (sinks_.load) lk.path.push_back(lk.frontier);
   // The source is frontier 0: it services the query injection itself,
   // then steps locally (no network legs).
   const double start = service(lk.frontier, now);
@@ -210,6 +220,16 @@ void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
     complete(lookup, step.done && step.ok, done, lk.frontier);
     return;
   }
+  // The only place slots_ grows: no Slot reference is live here.
+  if (free_blocks_.empty()) {
+    lk.block = static_cast<std::int32_t>(
+        slots_.size() / static_cast<std::size_t>(config_.candidates));
+    slots_.resize(slots_.size() +
+                  static_cast<std::size_t>(config_.candidates));
+  } else {
+    lk.block = free_blocks_.back();
+    free_blocks_.pop_back();
+  }
   lk.cands = cands;
   lk.cand_count = step.count;
   begin_round(lookup, done);
@@ -218,7 +238,6 @@ void MessageSimulator::start_lookup(std::int32_t lookup, double now) {
 void MessageSimulator::begin_round(std::int32_t lookup, double now) {
   Lookup& lk = state_[static_cast<std::size_t>(lookup)];
   lk.launched = 0;
-  lk.round_probes.fill(-1);
   const int fan = std::min(config_.alpha, static_cast<int>(lk.cand_count));
   for (int i = 0; i < fan; ++i) {
     launch_candidate(lookup, i, now);
@@ -226,119 +245,132 @@ void MessageSimulator::begin_round(std::int32_t lookup, double now) {
 }
 
 void MessageSimulator::launch_candidate(std::int32_t lookup,
-                                        std::int32_t cand_index, double now) {
+                                        std::int32_t cand, double now) {
   Lookup& lk = state_[static_cast<std::size_t>(lookup)];
-  Probe probe;
-  probe.lookup = lookup;
-  probe.round = lk.round;
-  probe.cand_index = cand_index;
-  probe.target = lk.cands[static_cast<std::size_t>(cand_index)];
-  probe.sent_from = lk.frontier;
-  const std::int32_t id = static_cast<std::int32_t>(probes_.size());
-  probes_.push_back(probe);
-  lk.round_probes[static_cast<std::size_t>(cand_index)] = id;
-  lk.launched = cand_index + 1;
-  send_probe(id, now);
+  slot(lk, cand) = Slot{};
+  lk.launched = cand + 1;
+  send_probe(lookup, cand, now);
 }
 
-void MessageSimulator::send_probe(std::int32_t probe_id, double now) {
-  Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
-  Lookup& lk = state_[static_cast<std::size_t>(probe.lookup)];
+void MessageSimulator::send_probe(std::int32_t lookup, std::int32_t cand,
+                                  double now) {
+  Lookup& lk = state_[static_cast<std::size_t>(lookup)];
+  Slot& probe = slot(lk, cand);
+  const NodeIndex target = lk.cands[static_cast<std::size_t>(cand)];
   ++totals_.sent;
   bool request_lost = false;
   bool response_lost = false;
   if (rolling_drops_) {
     // One forked stream per message attempt: draw both legs up front so
     // the pattern is a pure function of (drop seed, lookup, attempt).
-    Rng msg_rng = drop_base_.fork(static_cast<std::uint64_t>(probe.lookup))
-                      .fork(lk.attempt_seq);
+    Rng msg_rng = drop_base_.fork(static_cast<std::uint64_t>(lookup))
+                      .fork(static_cast<std::uint64_t>(lk.sends));
     request_lost = msg_rng.uniform_double() < drop_p_;
     response_lost = msg_rng.uniform_double() < drop_p_;
   }
-  ++lk.attempt_seq;
+  probe.stamp = lk.sends++;
+  double arrive_ms = 0;
   if (request_lost) {
     ++totals_.link_drops;
   } else {
-    push_event(now + link_ms(probe.sent_from, probe.target), Kind::kArrive,
-               probe.lookup, probe_id, probe.attempt);
+    arrive_ms = now + link_ms(lk.frontier, target);
+    push_event(arrive_ms, next_seq_++, Kind::kArrive, lookup, cand,
+               probe.stamp, target);
   }
-  // The response-leg verdict rides in the probe so kArrive can apply it.
+  // The response-leg verdict rides in the slot so kArrive can apply it.
   probe.response_lost = response_lost;
-  probe.result = StepResult{};
-  probe.state_after = 0;
-  const double deadline =
-      config_.timeout_ms *
-      std::pow(config_.backoff, static_cast<double>(probe.attempt));
-  push_event(now + deadline, Kind::kTimeout, probe.lookup, probe_id,
-             probe.attempt);
+  // The timeout's seq and deadline are fixed now, so ties break as if it
+  // were pushed now; the event itself goes on the heap only once it can
+  // fire. A lost request or one landing at or after the deadline settles
+  // that here, on_arrive settles the rest.
+  probe.deadline_ms =
+      now + config_.timeout_ms *
+                std::pow(config_.backoff, static_cast<double>(probe.attempt));
+  probe.timeout_seq = next_seq_++;
+  probe.armed = false;
+  last_deadline_ = std::max(last_deadline_, probe.deadline_ms);
+  if (request_lost || arrive_ms >= probe.deadline_ms || arm_every_timeout()) {
+    arm_timeout(lookup, cand, probe);
+  }
 }
 
-void MessageSimulator::on_arrive(std::int32_t probe_id, std::int32_t attempt,
-                                 double now) {
-  Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
+void MessageSimulator::arm_timeout(std::int32_t lookup, std::int32_t cand,
+                                   Slot& probe) {
+  probe.armed = true;
+  push_event(probe.deadline_ms, probe.timeout_seq, Kind::kTimeout, lookup,
+             cand, probe.stamp);
+}
+
+MessageSimulator::Slot* MessageSimulator::live_slot(const Event& ev) {
+  if (!lookup_open(ev.lookup)) return nullptr;
+  const Lookup& lk = state_[static_cast<std::size_t>(ev.lookup)];
+  if (ev.cand >= lk.launched) return nullptr;
+  Slot& probe = slot(lk, ev.cand);
+  if (probe.stamp != ev.stamp || probe.responded || probe.failed) {
+    return nullptr;
+  }
+  return &probe;
+}
+
+void MessageSimulator::on_arrive(const Event& ev) {
   // The request is on the wire regardless of lookup progress: stale
   // probes still consume the target's service capacity.
-  const double start = service(probe.target, now);
-  if (start < 0) return;  // dead node or inbox overflow: timeout recovers
-  const Lookup& lk = state_[static_cast<std::size_t>(probe.lookup)];
-  if (!lookup_open(probe.lookup) || probe.round != lk.round ||
-      probe.responded || probe.failed || probe.attempt != attempt) {
-    return;  // stale: serviced, but nobody is waiting for the verdict
-  }
-  if (probe.response_lost) {
-    ++totals_.link_drops;
+  const double start = service(ev.target, ev.at_ms);
+  Slot* probe = live_slot(ev);
+  if (!probe) return;  // stale: nobody is waiting for the verdict
+  if (start < 0 || probe->response_lost) {
+    // Dead node, inbox overflow or a lost response: the timeout recovers.
+    if (start >= 0) ++totals_.link_drops;
+    if (!probe->armed) arm_timeout(ev.lookup, ev.cand, *probe);
     return;
   }
+  const Lookup& lk = state_[static_cast<std::size_t>(ev.lookup)];
   std::uint64_t state_copy = lk.state;
-  std::array<NodeIndex, kMaxStepCandidates> cands{};
   const StepResult step = stepper_(
-      probe.target, lookups_[static_cast<std::size_t>(probe.lookup)].key,
+      ev.target, lookups_[static_cast<std::size_t>(ev.lookup)].key,
       state_copy,
-      std::span<NodeIndex>(cands.data(),
+      std::span<NodeIndex>(probe->next_cands.data(),
                            static_cast<std::size_t>(config_.candidates)));
-  probe.result = step;
-  probe.queue_ms = static_cast<float>(start - now);
-  probe.state_after = state_copy;
-  probe.next_cands = cands;
-  const double done = start + config_.service_ms;
-  push_event(done + link_ms(probe.target, probe.sent_from), Kind::kResponse,
-             probe.lookup, probe_id, attempt);
+  probe->result = step;
+  probe->queue_ms = static_cast<float>(start - ev.at_ms);
+  probe->state_after = state_copy;
+  const double back_ms =
+      start + config_.service_ms + link_ms(ev.target, lk.frontier);
+  push_event(back_ms, next_seq_++, Kind::kResponse, ev.lookup, ev.cand,
+             ev.stamp);
+  // A response landing on the deadline pops after the timeout (larger
+  // seq), so the timeout still fires.
+  if (back_ms >= probe->deadline_ms && !probe->armed) {
+    arm_timeout(ev.lookup, ev.cand, *probe);
+  }
 }
 
-void MessageSimulator::on_response(std::int32_t probe_id,
-                                   std::int32_t attempt, double now) {
-  Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
-  const Lookup& lk = state_[static_cast<std::size_t>(probe.lookup)];
-  if (!lookup_open(probe.lookup) || probe.round != lk.round ||
-      probe.responded || probe.failed || probe.attempt != attempt) {
-    return;  // a retry superseded this attempt: its late response is noise
-  }
-  probe.responded = true;
-  check_round(probe.lookup, now);
+void MessageSimulator::on_response(const Event& ev) {
+  Slot* probe = live_slot(ev);
+  if (!probe) return;  // a retry superseded this attempt: late noise
+  probe->responded = true;
+  check_round(ev.lookup, ev.at_ms);
 }
 
-void MessageSimulator::on_timeout(std::int32_t probe_id, std::int32_t attempt,
-                                  double now) {
-  Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
-  Lookup& lk = state_[static_cast<std::size_t>(probe.lookup)];
-  if (!lookup_open(probe.lookup) || probe.round != lk.round ||
-      probe.responded || probe.failed || probe.attempt != attempt) {
-    return;  // stale stamp: a retry superseded this deadline
-  }
+void MessageSimulator::on_timeout(const Event& ev) {
+  Slot* probe = live_slot(ev);
+  if (!probe) return;  // a response or a newer attempt decided it
+  const std::int32_t lookup = ev.lookup;
+  const double now = ev.at_ms;
+  LookupResult& result = lookups_[static_cast<std::size_t>(lookup)];
   ++totals_.timeouts;
   if (timeouts_counter_) timeouts_counter_->inc();
-  ++lookups_[static_cast<std::size_t>(probe.lookup)].timeouts;
-  if (probe.attempt + 1 < config_.retry_budget) {
-    ++probe.attempt;
+  ++result.timeouts;
+  if (probe->attempt + 1 < config_.retry_budget) {
+    ++probe->attempt;
     ++totals_.retries;
     if (retries_counter_) retries_counter_->inc();
-    ++lookups_[static_cast<std::size_t>(probe.lookup)].retries;
-    send_probe(probe_id, now);
+    ++result.retries;
+    send_probe(lookup, ev.cand, now);
     return;
   }
-  probe.failed = true;
-  // launch_candidate may grow probes_ and leave `probe` dangling.
-  const std::int32_t lookup = probe.lookup;
+  probe->failed = true;
+  const Lookup& lk = state_[static_cast<std::size_t>(lookup)];
   if (lk.launched < lk.cand_count) launch_candidate(lookup, lk.launched, now);
   check_round(lookup, now);
 }
@@ -350,42 +382,37 @@ void MessageSimulator::check_round(std::int32_t lookup, double now) {
   // permanently failed and that candidate has responded.
   for (std::int32_t i = 0; i < lk.cand_count; ++i) {
     if (i >= lk.launched) return;  // not launched yet: wait
-    const Probe& probe =
-        probes_[static_cast<std::size_t>(lk.round_probes[
-            static_cast<std::size_t>(i)])];
+    const Slot& probe = slot(lk, i);
     if (probe.failed) continue;
-    if (probe.responded) {
-      advance(lookup, lk.round_probes[static_cast<std::size_t>(i)], now);
-    }
+    if (probe.responded) advance(lookup, i, now);
     return;  // best-ranked survivor still waiting for its response
   }
   // Every candidate permanently failed: the lookup is lost.
   complete(lookup, false, now, lk.frontier);
 }
 
-void MessageSimulator::advance(std::int32_t lookup, std::int32_t probe_id,
+void MessageSimulator::advance(std::int32_t lookup, std::int32_t cand,
                                double now) {
   Lookup& lk = state_[static_cast<std::size_t>(lookup)];
   LookupResult& result = lookups_[static_cast<std::size_t>(lookup)];
-  const Probe& probe = probes_[static_cast<std::size_t>(probe_id)];
+  const Slot& probe = slot(lk, cand);
+  const NodeIndex target = lk.cands[static_cast<std::size_t>(cand)];
   if (sinks_.trace && traced_[static_cast<std::size_t>(lookup)]) {
     telemetry::HopRecord hop;
     hop.lookup = trace_ids_[static_cast<std::size_t>(lookup)];
     hop.from = lk.frontier;
-    hop.to = probe.target;
+    hop.to = target;
     hop.hop_index = result.hops;
-    hop.level = net_->lca_level(lk.frontier, probe.target);
+    hop.level = net_->lca_level(lk.frontier, target);
     hop.candidates = static_cast<std::uint32_t>(lk.cand_count);
     hop.queue_ms = probe.queue_ms;
-    hop.hop_ms = link_ms(lk.frontier, probe.target) +
-                 link_ms(probe.target, lk.frontier);
+    hop.hop_ms = link_ms(lk.frontier, target) + link_ms(target, lk.frontier);
     sinks_.trace->on_hop(hop);
   }
-  lk.frontier = probe.target;
+  lk.frontier = target;
   lk.state = probe.state_after;
-  lk.path.push_back(probe.target);
+  if (sinks_.load) lk.path.push_back(target);
   ++result.hops;
-  ++lk.round;
   if (probe.result.done) {
     complete(lookup, probe.result.ok, now, lk.frontier);
     return;
@@ -418,6 +445,11 @@ void MessageSimulator::complete(std::int32_t lookup, bool ok, double now,
   }
   if (sinks_.load) {
     sinks_.load->observe(lk.path, ok, result.key, load_shard_);
+    lk.path = {};
+  }
+  if (lk.block >= 0) {  // events still in flight see the lookup closed
+    free_blocks_.push_back(lk.block);
+    lk.block = -1;
   }
 }
 
@@ -425,27 +457,46 @@ void MessageSimulator::run() {
   if (sinks_.timeseries) {
     sinks_.timeseries->live_nodes(now_, static_cast<double>(live_nodes()));
   }
-  while (!queue_.empty()) {
+  // Starts merge with the heap in (time, seq) order; appended in seq
+  // order, a stable sort by time puts them in that order.
+  std::stable_sort(starts_.begin() + static_cast<std::ptrdiff_t>(next_start_),
+                   starts_.end(), [](const Start& a, const Start& b) {
+                     return a.at_ms < b.at_ms;
+                   });
+  last_deadline_ = now_;
+  for (;;) {
+    if (next_start_ < starts_.size()) {
+      const Start next = starts_[next_start_];
+      if (queue_.empty() || next.at_ms < queue_.top().at_ms ||
+          (next.at_ms == queue_.top().at_ms && next.seq < queue_.top().seq)) {
+        ++next_start_;
+        advance_clock(next.at_ms);
+        start_lookup(next.lookup, next.at_ms);
+        continue;
+      }
+    } else if (queue_.empty()) {
+      break;
+    }
     const Event ev = queue_.top();
     queue_.pop();
-    now_ = std::max(now_, ev.at_ms);
-    apply_faults_until(now_);
-    maybe_snapshot(now_);
+    advance_clock(ev.at_ms);
     switch (ev.kind) {
-      case Kind::kStart:
-        start_lookup(ev.lookup, ev.at_ms);
-        break;
       case Kind::kArrive:
-        on_arrive(ev.probe, ev.attempt, ev.at_ms);
+        on_arrive(ev);
         break;
       case Kind::kResponse:
-        on_response(ev.probe, ev.attempt, ev.at_ms);
+        on_response(ev);
         break;
       case Kind::kTimeout:
-        on_timeout(ev.probe, ev.attempt, ev.at_ms);
+        on_timeout(ev);
         break;
     }
   }
+  starts_.clear();
+  next_start_ = 0;
+  // The timeouts left off the heap would all have popped stale; the clock
+  // still runs out to the last of them, applying what falls due on the way.
+  if (last_deadline_ > now_) advance_clock(last_deadline_);
   if (sinks_.load) {
     sinks_.load->merge(load_shard_);
     load_shard_ = telemetry::LoadAccountant::Shard{};
