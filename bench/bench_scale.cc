@@ -9,7 +9,8 @@
 // hot path. A fresh MemoryAccountant is installed per row, so every row
 // carries a per-subsystem byte ledger; current_rss_mb() is sampled at
 // every phase boundary and per streamed-build shard into an RSS timeline.
-// Reported per row:
+// One untimed build at --min-nodes runs before the first row, so no row
+// pays for a cold process; no report or ledger sees it. Reported per row:
 //
 //   real_time        link-construction wall clock in ms (the gated metric
 //                    — tools/compare_bench.py matches micro-bench reports
@@ -175,6 +176,18 @@ int main(int argc, char** argv) {
   TextTable table({"row", "pop s", "build s", "RSS MB (peak/now)",
                    "attributed MB", "links", "Mlookups/s", "speedup",
                    "mean hops"});
+
+  // One untimed, unreported build at the first row's size: a cold process
+  // (worker threads not yet started, pages not yet faulted in) otherwise
+  // bills its start-up to that row alone. It runs with the metrics
+  // registry detached and before any row's MemoryAccountant, so neither
+  // the histograms nor the byte ledgers see it.
+  if (min_n <= max_n) {
+    telemetry::MetricsRegistry* registry = telemetry::install_registry(nullptr);
+    const auto net = bench::bench_population(min_n, levels, run.seed);
+    const auto links = build_crescendo_streamed(net, shard_nodes);
+    telemetry::install_registry(registry);
+  }
 
   for (std::uint64_t n = min_n; n <= max_n; n *= 4) {
     telemetry::MemoryAccountant acct;
