@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): routing throughput for the greedy
-// ring router (Chord/Crescendo), lookahead and XOR routing, the CAN and
-// Can-Can probe paths, the group batch probe, plus the batch QueryEngine.
+// ring router (Chord/Crescendo/Clique Crescendo), lookahead and XOR
+// routing, the CAN and Can-Can probe paths, the group batch probe, plus the
+// batch QueryEngine.
 //
 // All (from, key) workloads are pre-generated outside the timed loops
 // (cycled through a power-of-two array), so BM_Route* measures routing
@@ -23,6 +24,7 @@
 #include "canon/cancan.h"
 #include "canon/crescendo.h"
 #include "canon/kandy.h"
+#include "canon/mixed.h"
 #include "canon/proximity.h"
 #include "dht/can.h"
 #include "dht/chord.h"
@@ -84,6 +86,26 @@ void BM_ProbeCrescendo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProbeCrescendo)->Arg(8192);
+
+/// RingRouter::probe over Clique Crescendo (§3.5's mixed structure). Each
+/// leaf domain of the 3-level hierarchy is a complete graph, and the Zipf
+/// placement fills a few of them with most nodes: at 8192 nodes the mean
+/// row holds about 460 entries, so the ring pick's predecessor search, not
+/// a row scan, sets the per-hop cost.
+void BM_ProbeCliqueCrescendo(benchmark::State& state) {
+  const auto net = bench::bench_population(
+      static_cast<std::size_t>(state.range(0)), 3);
+  const auto links = build_clique_crescendo(net);
+  const RingRouter router(net, links);
+  const auto queries = uniform_workload(net, kWorkload, Rng(11));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Query& q = queries[i++ & kMask];
+    benchmark::DoNotOptimize(router.probe(q.from, q.key));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeCliqueCrescendo)->Arg(8192);
 
 void BM_RouteCrescendoLookahead(benchmark::State& state) {
   const auto net = bench::bench_population(

@@ -11,6 +11,7 @@
 #include "canon/proximity.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
+#include "overlay/routing.h"
 #include "telemetry/metrics.h"
 
 namespace canon::audit {
@@ -69,10 +70,7 @@ std::string AuditReport::summary() const {
 StructureAuditor::StructureAuditor(const OverlayNetwork& net,
                                    const LinkTable& links)
     : net_(&net), links_(&links) {
-  if (links.node_count() != net.size()) {
-    throw std::invalid_argument(
-        "StructureAuditor: link table size does not match the network");
-  }
+  require_routable(net, links, "StructureAuditor");
 }
 
 void StructureAuditor::add_violation(AuditReport& r, std::string check,

@@ -11,7 +11,14 @@
 // Every path that routes a ring or XOR family is built from these pieces,
 // so one winner rule serves them all:
 //
-// * argmin_rank  — the strict-`<`, first-best scan over one row;
+// * best_in_row  — each metric's winner over one CSR row. The ring metric
+//                  finds it by a predecessor search: a row's ids ascend,
+//                  because the overlay numbers its nodes in ID order and
+//                  every row ascends by index, and require_routable
+//                  rejects a table built over any other ids. The XOR
+//                  metric scans the row with argmin_rank;
+// * argmin_rank  — the strict-`<`, first-best scan over a candidate list
+//                  (XOR rows, the ring leaf set);
 // * greedy_walk  — the whole route. With NoFaults it is the plain
 //                  route_into/probe; with Faults it vetoes dead and banned
 //                  candidates, retries dropped forwards and falls back to
@@ -23,10 +30,10 @@
 // zone-match scan, and the group walk (canon/proximity.cc) by its two-key
 // group order, instead of a metric; they share the NoFaults/Faults
 // policies, the recorders, detail::TopK, the live XOR takeover
-// scan and the faulty entry points' dispatch (with_faults).
+// descent and the faulty entry points' dispatch (with_faults).
 //
 // Internal header: included by routing.cc, stepper.cc, dht/can.cc,
-// canon/cancan.cc and canon/proximity.cc only.
+// canon/cancan.cc, canon/proximity.cc and tests/greedy_kernel_test.cc only.
 #ifndef CANON_OVERLAY_GREEDY_KERNEL_H
 #define CANON_OVERLAY_GREEDY_KERNEL_H
 
@@ -47,29 +54,83 @@
 
 namespace canon::detail {
 
+inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
+
+/// Winner of one row pick: its index, or kNoWinner with rank == remaining.
+struct Pick {
+  std::size_t index;
+  std::uint64_t rank;
+};
+
+struct KeepAll {
+  constexpr bool operator()(std::size_t, std::uint64_t) const { return true; }
+};
+
+/// First index of the strictly smallest rank below `remaining` among
+/// candidates 0..count) whose ids `id_at(j)` yields. `keep(j, rank)` is
+/// asked only of a candidate that would become the new best, and may veto
+/// it — the resilient walk's dead/banned filter. The XOR metric's row pick
+/// and the ring metric's leaf-set pick; a ring row is searched instead
+/// (RingMetric::best_in_row).
+template <typename Metric, typename IdAt, typename Keep = KeepAll>
+Pick argmin_rank(const Metric& metric, NodeId key, std::uint64_t remaining,
+                 std::size_t count, IdAt&& id_at, Keep&& keep = {}) {
+  Pick best{kNoWinner, remaining};
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::uint64_t r = metric.rank(id_at(j), key);
+    if (r < best.rank && keep(j, r)) best = {j, r};
+  }
+  return best;
+}
+
 /// The live member of `members` XOR-closest to `key`: who takes over a dead
-/// terminal in the XOR, CAN and Can-Can families (`net.ring().members()`
-/// for the whole network). Throws std::logic_error when every member is
-/// dead.
+/// terminal in the XOR, CAN and Can-Can families. `members` must ascend by
+/// NodeId, as `net.ring().members()` and every domain's member list do.
+/// Throws std::logic_error when every member is dead.
+///
+/// A bitwise descent from the top bit: the range's members share every
+/// higher bit, so it splits where the current bit turns to 1, and the walk
+/// keeps the half matching the key's bit whenever that half holds a live
+/// member. `live` is the range's first live position, so each member's
+/// liveness is asked at most once, and a query among few dead members
+/// costs one binary search per bit instead of a scan of every member.
 inline NodeIndex live_xor_closest(const OverlayNetwork& net,
                                   std::span<const NodeIndex> members,
                                   NodeId key, const FailureSet& dead) {
-  const std::uint64_t mask = net.space().mask();
-  NodeIndex best = RingView::kNone;
-  std::uint64_t best_d = 0;
-  for (const NodeIndex m : members) {
-    const std::uint64_t d = (net.id(m) ^ key) & mask;
-    // Liveness is asked only of a candidate that would become the new
-    // best, as in argmin_rank: the rarely taken branch predicts well.
-    if ((best == RingView::kNone || d < best_d) && !dead.dead(m)) {
-      best = m;
-      best_d = d;
-    }
-  }
-  if (best == RingView::kNone) {
+  const auto first_live = [&](std::size_t from, std::size_t to) {
+    while (from < to && dead.dead(members[from])) ++from;
+    return from;
+  };
+  std::size_t lo = 0;
+  std::size_t hi = members.size();
+  std::size_t live = first_live(lo, hi);
+  if (live == hi) {
     throw std::logic_error("live_xor_closest: every member is dead");
   }
-  return best;
+  for (int b = net.space().bits() - 1; b >= 0 && hi - lo > 1; --b) {
+    const NodeId bit = NodeId{1} << b;
+    const std::size_t mid = static_cast<std::size_t>(
+        std::partition_point(members.begin() + static_cast<long>(lo),
+                             members.begin() + static_cast<long>(hi),
+                             [&](NodeIndex m) {
+                               return (net.id(m) & bit) == 0;
+                             }) -
+        members.begin());
+    if (key & bit) {  // prefer [mid, hi)
+      const std::size_t up = live >= mid ? live : first_live(mid, hi);
+      if (up < hi) {
+        lo = mid;
+        live = up;
+      } else {
+        hi = mid;
+      }
+    } else if (live < mid) {  // prefer [lo, mid)
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return members[live];
 }
 
 /// Greedy clockwise metric of the seven ring families. A neighbor that
@@ -88,6 +149,30 @@ struct RingMetric {
     return (key - id) & mask;
   }
   NodeIndex terminal(NodeId key) const { return net->responsible(key); }
+
+  /// The pick over one CSR row, whose ids ascend (require_routable): the
+  /// candidate of smallest rank below `remaining` that `keep(j, rank)`
+  /// accepts — argmin_rank's winner, found by search. The smallest rank
+  /// is the row's clockwise predecessor-or-self of the key: the last id at
+  /// or below the masked key, or the last entry when every id lies above
+  /// it. Ids are unique, so ranks are; from that entry they rise one entry
+  /// at a time cyclically downwards, so a veto walks on until a candidate
+  /// is kept or stops progressing. As in argmin_rank, the row's best is
+  /// asked whenever it progresses (greedy_walk's fallback tally needs it).
+  template <typename Keep = KeepAll>
+  Pick best_in_row(NodeId key, std::uint64_t remaining,
+                   std::span<const NodeId> ids, Keep&& keep = {}) const {
+    const std::size_t n = ids.size();
+    std::size_t j = static_cast<std::size_t>(
+        std::upper_bound(ids.begin(), ids.end(), key & mask) - ids.begin());
+    for (std::size_t walked = 0; walked < n; ++walked) {
+      j = (j == 0 ? n : j) - 1;
+      const std::uint64_t r = rank(ids[j], key);
+      if (r >= remaining) break;
+      if (keep(j, r)) return {j, r};
+    }
+    return {kNoWinner, remaining};
+  }
 
   /// The closest live predecessor of `key`.
   NodeIndex live_terminal(NodeId key, const FailureSet& dead) const {
@@ -136,6 +221,15 @@ struct XorMetric {
   }
   NodeIndex terminal(NodeId key) const { return net->xor_closest(key); }
 
+  /// The pick over one CSR row: argmin_rank's scan.
+  template <typename Keep = KeepAll>
+  Pick best_in_row(NodeId key, std::uint64_t remaining,
+                   std::span<const NodeId> ids, Keep&& keep = {}) const {
+    return argmin_rank(*this, key, remaining, ids.size(),
+                       [data = ids.data()](std::size_t j) { return data[j]; },
+                       keep);
+  }
+
   /// The live node minimizing XOR distance to `key`.
   NodeIndex live_terminal(NodeId key, const FailureSet& dead) const {
     const NodeIndex structural = net->xor_closest(key);
@@ -143,42 +237,6 @@ struct XorMetric {
     return live_xor_closest(*net, net->ring().members(), key, dead);
   }
 };
-
-inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
-
-/// Winner of one scan: its index, or kNoWinner with rank == remaining.
-struct Pick {
-  std::size_t index;
-  std::uint64_t rank;
-};
-
-struct KeepAll {
-  constexpr bool operator()(std::size_t, std::uint64_t) const { return true; }
-};
-
-/// First index of the strictly smallest rank below `remaining` among
-/// candidates 0..count) whose ids `id_at(j)` yields. `keep(j, rank)` is
-/// asked only of a candidate that would become the new best, and may veto
-/// it — the resilient walk's dead/banned filter.
-template <typename Metric, typename IdAt, typename Keep = KeepAll>
-Pick argmin_rank(const Metric& metric, NodeId key, std::uint64_t remaining,
-                 std::size_t count, IdAt&& id_at, Keep&& keep = {}) {
-  Pick best{kNoWinner, remaining};
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint64_t r = metric.rank(id_at(j), key);
-    if (r < best.rank && keep(j, r)) best = {j, r};
-  }
-  return best;
-}
-
-/// argmin_rank over one CSR row's inline ids.
-template <typename Metric, typename Keep = KeepAll>
-Pick argmin_row(const Metric& metric, NodeId key, std::uint64_t remaining,
-                std::span<const NodeId> ids, Keep&& keep = {}) {
-  return argmin_rank(metric, key, remaining, ids.size(),
-                     [data = ids.data()](std::size_t j) { return data[j]; },
-                     keep);
-}
 
 /// Fault-free walk: no liveness, bans, retries or leaf set.
 struct NoFaults {
@@ -243,7 +301,7 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
     const auto ids = links.neighbor_ids(current);
     NodeIndex next = current;
     if constexpr (!FaultPolicy::kActive) {
-      const Pick pick = argmin_row(metric, key, remaining, ids);
+      const Pick pick = metric.best_in_row(key, remaining, ids);
       if (pick.index == kNoWinner) {
         p.ok = current == metric.terminal(key);
         return p;
@@ -254,9 +312,8 @@ ResilientProbe greedy_walk(const Metric& metric, const LinkTable& links,
       bool leaf_fresh = false;
       for (int attempts = kRetryBudget;;) {  // per-hop retry ladder
         std::uint64_t best_any = remaining;  // incl. dead and banned
-        const Pick pick = argmin_row(
-            metric, key, remaining, ids,
-            [&](std::size_t j, std::uint64_t r) {
+        const Pick pick = metric.best_in_row(
+            key, remaining, ids, [&](std::size_t j, std::uint64_t r) {
               best_any = std::min(best_any, r);
               return !faults.dead.dead(row[j]) &&
                      !faults.banned_node(row[j]);
@@ -346,10 +403,9 @@ struct GreedyLane {
       return true;
     }
     const NodeId* ids = links.target_ids_data() + l.row_begin;
-    const Pick pick = argmin_rank(metric, l.key,
-                                  metric.rank(l.cur_id, l.key),
-                                  l.row_end - l.row_begin,
-                                  [ids](std::size_t j) { return ids[j]; });
+    const Pick pick = metric.best_in_row(
+        l.key, metric.rank(l.cur_id, l.key),
+        {ids, static_cast<std::size_t>(l.row_end - l.row_begin)});
     if (pick.index == kNoWinner) {
       out = {l.current, l.hops, l.current == metric.terminal(l.key)};
       return true;

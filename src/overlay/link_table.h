@@ -19,7 +19,10 @@
 //               sorted ascending with no duplicates and no self-links.
 //   target_ids_: the NodeId of targets_[k] stored at the same position k,
 //               so routers read one contiguous array instead of chasing
-//               net.id(nb) per candidate.
+//               net.id(nb) per candidate. A table built over `net.ids()`,
+//               which ascend, therefore has every row ascending by NodeId
+//               too: the ring routers binary-search it
+//               (overlay/greedy_kernel.h, require_routable).
 //
 // The table is then a read-only routing structure. The one sanctioned
 // mutation is set_neighbors(), the dynamic-maintenance edit path, which
@@ -83,6 +86,9 @@ class LinkTable {
                          const ShardFn& on_shard = {});
 
   std::size_t node_count() const { return ids_.size(); }
+
+  /// The node index -> NodeId map the table was built over.
+  std::span<const NodeId> ids() const { return ids_; }
 
   /// Neighbors of `node`, sorted ascending. Defined inline: this is every
   /// router's per-hop access.

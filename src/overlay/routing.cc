@@ -4,6 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "overlay/batch_probe.h"
 #include "overlay/greedy_kernel.h"
@@ -38,23 +39,38 @@ RouteProbe ring_lookahead_core(const detail::RingMetric& metric,
     std::uint64_t best_final = remaining;
     const auto row = links.neighbors(current);
     const auto ids = links.neighbor_ids(current);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      const NodeIndex v = row[j];
-      const std::uint64_t after1 = metric.rank(ids[j], key);
-      if (after1 >= remaining) continue;  // no progress, or overshoots
-      if (after1 < best_final) {
-        best_final = after1;
-        best_v = v;
-        best_w = v;
-      }
-      // best_final <= after1 now, so the second step lowers both.
-      const auto second = links.neighbors(v);
-      const detail::Pick w = detail::argmin_row(metric, key, best_final,
-                                                links.neighbor_ids(v));
-      if (w.index != detail::kNoWinner) {
-        best_final = w.rank;
-        best_v = v;
-        best_w = second[w.index];
+    // Only ids in the clockwise interval (current, key] progress. The row
+    // ascends by id, so they sit at [lo, hi), or at [0, hi) and [lo, size)
+    // when the interval wraps past zero. Plans are weighed in ascending j:
+    // that order breaks ties between plans ending at the same node.
+    const auto first_above = [&](NodeId x) {
+      return static_cast<std::size_t>(
+          std::upper_bound(ids.begin(), ids.end(), x) - ids.begin());
+    };
+    const NodeId cur_id = net.id(current);
+    const NodeId k = key & metric.mask;
+    const std::size_t lo = first_above(cur_id);
+    const std::size_t hi = first_above(k);
+    const bool wraps = cur_id > k;
+    const std::pair<std::size_t, std::size_t> spans[] = {
+        {wraps ? 0 : lo, hi}, {lo, wraps ? row.size() : lo}};
+    for (const auto& [begin, end] : spans) {
+      for (std::size_t j = begin; j < end; ++j) {
+        const NodeIndex v = row[j];
+        const std::uint64_t after1 = metric.rank(ids[j], key);
+        if (after1 < best_final) {
+          best_final = after1;
+          best_v = v;
+          best_w = v;
+        }
+        // best_final <= after1 now, so the second step lowers both.
+        const detail::Pick w =
+            metric.best_in_row(key, best_final, links.neighbor_ids(v));
+        if (w.index != detail::kNoWinner) {
+          best_final = w.rank;
+          best_v = v;
+          best_w = links.neighbors(v)[w.index];
+        }
       }
     }
     if (best_v == current) {
@@ -118,6 +134,11 @@ void require_routable(const OverlayNetwork& net, const LinkTable& links,
   if (links.node_count() != net.size()) {
     throw std::invalid_argument(std::string(who) +
                                 ": link table size mismatch");
+  }
+  const auto ids = links.ids();
+  if (!std::equal(ids.begin(), ids.end(), net.ids().begin())) {
+    throw std::invalid_argument(std::string(who) +
+                                ": link table built over other node ids");
   }
 }
 

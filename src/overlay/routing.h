@@ -82,9 +82,12 @@ inline int hop_guard(const OverlayNetwork& net) {
   return 4 * net.space().bits() + 16;
 }
 
-/// Throws std::invalid_argument, prefixed by `who`, unless `links` spans
-/// exactly `net`'s nodes — the precondition of every router and simulator
-/// that indexes the table by `net`'s node indices.
+/// Throws std::invalid_argument, prefixed by `who`, unless `links` was
+/// built over exactly `net`'s node ids — the precondition of every router
+/// and simulator that indexes the table by `net`'s node indices. Since
+/// `net.ids()` ascend, it also guarantees that every row's inline ids
+/// ascend, which the ring pick's predecessor search relies on
+/// (overlay/greedy_kernel.h). O(n), paid once per router.
 void require_routable(const OverlayNetwork& net, const LinkTable& links,
                       const char* who);
 

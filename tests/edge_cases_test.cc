@@ -47,15 +47,22 @@ TEST(EdgeCases, SixtyFourBitIdSpace) {
 
 TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
   // A table built for a smaller network would be indexed past its CSR
-  // offsets by the larger network's node indices. Every router, the
-  // simulator and the auditor must refuse it up front.
+  // offsets by the larger network's node indices. One built for a network
+  // of the same size but other ids carries inline ids that are not the
+  // network's, so the ring routers' predecessor search would pick wrong
+  // hops. Every router, the simulator and the auditor must refuse both up
+  // front.
   Rng rng(1102);
   PopulationSpec spec;
   spec.node_count = 64;
   const auto small = make_population(spec, rng);
   spec.node_count = 512;
   const auto net = make_population(spec, rng);
-  const LinkTable foreign = build_crescendo(small);
+  Rng other_rng(2203);
+  const auto same_size = make_population(spec, other_rng);
+  ASSERT_EQ(same_size.size(), net.size());
+  const LinkTable smaller = build_crescendo(small);
+  const LinkTable other_ids = build_crescendo(same_size);
   const ZoneTree tree(net, net.ring().members());
   const CanCanZones zones(net);
   const GroupedOverlay groups(net, 8);
@@ -72,7 +79,8 @@ TEST(EdgeCases, EveryRouterRejectsAnotherNetworksLinkTable) {
        [&](const LinkTable& t) { audit::StructureAuditor(net, t); }},
   };
   for (const auto& [name, make] : constructors) {
-    EXPECT_THROW(make(foreign), std::invalid_argument) << name;
+    EXPECT_THROW(make(smaller), std::invalid_argument) << name;
+    EXPECT_THROW(make(other_ids), std::invalid_argument) << name;
   }
 }
 
